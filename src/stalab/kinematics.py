@@ -6,10 +6,15 @@ coefficients are exact rationals: doubles embed exactly into Fraction, so
 cancellations that hold algebraically (closure, mirror symmetries, the
 vanishing area of an antisymmetric separation) come out as literal zeros.
 
+Each arm is integrated once per sequence (`arm_trajectories` and
+`path_difference` are cached); closure, symmetry and every phase term
+read those trajectories through the public methods defined here.
+
 Weighted integrals of the arm separation are evaluated per segment in
 closed form. Polynomial weights stay in rational arithmetic; cos/sin
 weights use stable antiderivatives, switching to a Taylor series in omega
-below z = |omega| * max|t| = 1/2 where the closed forms lose digits.
+below z = |omega| * max|t| = 1/2 where the closed forms lose digits. The
+odd quadrature of an exactly (anti)symmetric separation is a literal zero.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -118,6 +123,15 @@ class PiecewiseTrajectory:
 
     def piece_at(self, t: Fraction) -> _Piece:
         return self.pieces[_locate(self.times, t)]
+
+    def position_coeffs(self, i: int) -> np.ndarray:
+        """Float (c0, c1, c2) rows of piece i's position polynomial, (3, 3);
+        a shared array, not to be modified."""
+        return self._fpos[i]
+
+    def acceleration(self, i: int) -> np.ndarray:
+        """Float acceleration on piece i, (3,)."""
+        return self._fvel[i][1]
 
     def position_exact(self, t) -> FVec:
         t = Fraction(t)
@@ -268,46 +282,30 @@ def integrate_arm(arm: ArmTimeline, params: PhysicalParams,
     return PiecewiseTrajectory(pieces, x, v)
 
 
-class PathDifference:
-    """Arm separation dx(t) = x_a(t) - x_b(t) on the merged breakpoint grid."""
+class PathDifference(PiecewiseTrajectory):
+    """Arm separation dx(t) = x_a(t) - x_b(t) on the merged breakpoint grid.
 
-    def __init__(self, pieces: list[_Piece]):
-        self.pieces = pieces
-        self.times = [p.t0 for p in pieces] + [pieces[-1].t1]
-        self._ftimes = np.array([float(t) for t in self.times])
-        self._fpos = [np.array([_float3(c) for c in p.pos]) for p in pieces]
+    A piecewise trajectory in its own right: ``end_position`` and
+    ``end_velocity`` are the exact (dx, dv) between the arms just after
+    the last event.
+    """
+
+    def __init__(self, pieces: list[_Piece], end_position: FVec,
+                 end_velocity: FVec):
+        super().__init__(pieces, end_position, end_velocity)
         self._powers: dict[tuple[int, int], Fraction] = {}
-
-    @property
-    def start(self) -> Fraction:
-        return self.times[0]
-
-    @property
-    def end(self) -> Fraction:
-        return self.times[-1]
 
     def separation(self, t) -> np.ndarray:
         t = Fraction(t)
-        i = _locate(self.times, t)
-        return _float3(self.pieces[i].pos_at(t))
+        return _float3(self.piece_at(t).pos_at(t))
 
     def velocity_difference(self, t) -> np.ndarray:
         t = Fraction(t)
-        i = _locate(self.times, t)
-        return _float3(self.pieces[i].vel_at(t))
+        return _float3(self.piece_at(t).vel_at(t))
 
     def sample(self, t: np.ndarray) -> np.ndarray:
         """Vectorised dx(t) evaluation, floats, shape (N, 3)."""
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self._ftimes, t, side="right") - 1,
-                      0, len(self.pieces) - 1)
-        out = np.empty((t.size, 3))
-        for i in np.unique(idx):
-            m = idx == i
-            ti = t[m][:, None]
-            c = self._fpos[i]
-            out[m] = c[0] + ti * (c[1] + ti * c[2])
-        return out
+        return super().sample(t)[0]
 
     def is_zero(self) -> bool:
         return all(c == _ZERO3 for p in self.pieces for c in p.pos)
@@ -352,6 +350,9 @@ class PathDifference:
             raise SequenceError(f"unknown trig weight {kind!r}")
         if omega == 0.0:
             return self.moment_poly(0) if kind == "cos" else np.zeros(3)
+        # the odd quadrature of a (anti)symmetric dx(t) vanishes identically
+        if self.mirror_parity() == (1 if kind == "sin" else -1):
+            return np.zeros(3)
         parts = [[], [], []]
         for i, piece in enumerate(self.pieces):
             z = omega * max(abs(float(piece.t0)), abs(float(piece.t1)))
@@ -367,41 +368,38 @@ class PathDifference:
         return np.array([math.fsum(p) for p in parts])
 
     def mirror_parity(self) -> int | None:
-        """+1 if dx(t) == dx(-t), -1 if dx(t) == -dx(-t), else None (exact)."""
-        for sign in (+1, -1):
-            if self._mirror_holds(sign):
-                return sign
-        return None
+        """+1 if dx(t) == dx(-t), -1 if dx(t) == -dx(-t), else None (exact,
+        computed once per instance)."""
+        return self._parity
 
-    def _mirror_holds(self, sign: int) -> bool:
-        grid = sorted({t for t in self.times} | {-t for t in self.times})
-        for u, w in zip(grid, grid[1:]):
-            a = self.pieces[_locate(self.times, u)]
-            mid = -(u + w) / 2
-            b = self.pieces[_locate(self.times, mid)]
-            if not (b.t0 <= -w and -u <= b.t1):
+    @cached_property
+    def _parity(self) -> int | None:
+        return next((sign for sign in (+1, -1)
+                     if _mirrored(self, self, "pos", sign)), None)
+
+
+def _mirrored(ta: PiecewiseTrajectory, tb: PiecewiseTrajectory, attr: str,
+              sign: int) -> bool:
+    """Exact check of f_a(t) == sign * f_b(-t) as functions, where f is the
+    polynomial whose power-basis coefficients each piece keeps in ``attr``
+    ("pos" or "vel"); reflecting t flips the sign of odd powers."""
+    if ta.start != -ta.end or tb.start != -tb.end or ta.end != tb.end:
+        return False
+    grid = sorted(set(ta.times) | {-t for t in tb.times})
+    for u, w in zip(grid, grid[1:]):
+        mid = (u + w) / 2
+        pairs = zip(getattr(ta.piece_at(mid), attr),
+                    getattr(tb.piece_at(-mid), attr))
+        for j, (ca, cb) in enumerate(pairs):
+            if ca != _fv_scale(cb, Fraction(sign if j % 2 == 0 else -sign)):
                 return False
-            for j in range(3):
-                flip = sign if j % 2 == 0 else -sign
-                if a.pos[j] != _fv_scale(b.pos[j], Fraction(flip)):
-                    return False
-        return True
+    return True
 
 
 def mirror_velocity_equal(ta: PiecewiseTrajectory, tb: PiecewiseTrajectory,
                           sign: int) -> bool:
     """Exact check of v_a(t) == sign * v_b(-t) as functions."""
-    if ta.start != -ta.end or tb.start != -tb.end or ta.end != tb.end:
-        return False
-    grid = sorted({t for t in ta.times} | {-t for t in tb.times})
-    for u, w in zip(grid, grid[1:]):
-        a = ta.pieces[_locate(ta.times, u)]
-        b = tb.pieces[_locate(tb.times, -(u + w) / 2)]
-        if a.vel[0] != _fv_scale(b.vel[0], Fraction(sign)):
-            return False
-        if a.vel[1] != _fv_scale(b.vel[1], Fraction(-sign)):
-            return False
-    return True
+    return _mirrored(ta, tb, "vel", sign)
 
 
 @lru_cache(maxsize=128)
@@ -430,7 +428,19 @@ def path_difference(seq: InterferometerSequence) -> PathDifference:
         vel = tuple(_fv_sub(ca, cb) for ca, cb in zip(pa.vel, pb.vel))
         nr = tuple(na - nb for na, nb in zip(pa.nrec, pb.nrec))
         pieces.append(_Piece(u, w, pos, vel, nr))
-    return PathDifference(pieces)
+    return PathDifference(pieces, *end_difference(ta, tb))
+
+
+def end_difference(ta: PiecewiseTrajectory,
+                   tb: PiecewiseTrajectory) -> tuple[FVec, FVec]:
+    """Exact (dx, dv) between two trajectories just after the last event."""
+    return (_fv_sub(ta.end_position, tb.end_position),
+            _fv_sub(ta.end_velocity, tb.end_velocity))
+
+
+def dot_exact(u, v) -> Fraction:
+    """Exact dot product of two 3-vectors of doubles or rationals."""
+    return _fv_dot(_fvec(u), _fvec(v))
 
 
 def integrate_polynomial_moment(pd: PathDifference, weight) -> np.ndarray:

@@ -99,8 +99,8 @@ def action_phase(seq: InterferometerSequence, g=None,
             ia, ib = ta.piece_index(mid), tb.piece_index(mid)
             xa, va = ta.sample_piece(ia, t)
             xb, vb = tb.sample_piece(ib, t)
-            aa = kinematics._float3(ta.pieces[ia].vel[1])
-            ab = kinematics._float3(tb.pieces[ib].vel[1])
+            aa = ta.acceleration(ia)
+            ab = tb.acceleration(ib)
             f = 0.5 * ((va * va).sum(axis=1) - (vb * vb).sum(axis=1))
             f += xa @ aa - xb @ ab
             gt = wave(t) if wave is not None else gvec[None, :]
@@ -308,19 +308,16 @@ def random_closed_sequence(rng: np.random.Generator, params: PhysicalParams,
                                 segments=tuple(segments)))
 
     seq = InterferometerSequence(params, T, arms[0], arms[1], name="random")
-    ta, tb = kinematics.arm_trajectories(seq)
+    dx, _ = kinematics.end_difference(*kinematics.arm_trajectories(seq))
     t_c = T * Fraction(denom - 4, denom)
-    dx = kinematics._float3(kinematics._fv_sub(ta.position_exact(T),
-                                               tb.position_exact(T)))
-    dv_c = tuple(dx / float(T - t_c))
+    dv_c = tuple(np.array([float(c) for c in dx]) / float(T - t_c))
     kicks_b = arms[1].kicks + (ImpulseKick(t_c, dv_c),)
     arm_b = ArmTimeline("b", kicks=kicks_b, segments=arms[1].segments)
 
     seq = InterferometerSequence(params, T, arms[0], arm_b, name="random")
-    ta, tb = kinematics.arm_trajectories(seq)
-    dv_end = kinematics._float3(kinematics._fv_sub(ta.end_velocity,
-                                                   tb.end_velocity))
-    arm_b = ArmTimeline("b", kicks=kicks_b + (ImpulseKick(T, tuple(dv_end)),),
+    _, dv_end = kinematics.end_difference(*kinematics.arm_trajectories(seq))
+    patch = ImpulseKick(T, tuple(float(c) for c in dv_end))
+    arm_b = ArmTimeline("b", kicks=kicks_b + (patch,),
                         segments=arms[1].segments)
     return InterferometerSequence(params, T, arms[0], arm_b, name="random")
 
@@ -370,7 +367,7 @@ def random_mirrored_sequence(rng: np.random.Generator,
     if kind == "ii":
         # closure needs arm a's own displacement to vanish
         _, ta = arm_a_trajectory()
-        disp = kinematics._float3(ta.position_exact(T))
+        disp = ta.position(T)
         t_p = T * Fraction(denom - 20, denom)
         kicks = kicks + [ImpulseKick(t_p, tuple(-disp / float(T - t_p)))]
 

@@ -218,34 +218,29 @@ def separation_phase(seq: InterferometerSequence, *,
     launch-point separation. Raises NotInterfering when the final
     velocities differ, since no far-field fringe forms.
     """
-    ta, tb = kinematics.arm_trajectories(seq)
     pd = kinematics.path_difference(seq)
     m_over_h = seq.params.m / seq.params.hbar
 
-    dv_end = kinematics._fv_sub(ta.end_velocity, tb.end_velocity)
     _, vscale = pd.scales()
     vscale = max(vscale, float(np.linalg.norm(seq.params.recoil_velocity)))
-    if any(dv_end) and float(np.linalg.norm(kinematics._float3(dv_end))) \
+    if any(pd.end_velocity) and float(np.linalg.norm(pd.velocity(pd.end))) \
             > rel_tol * vscale:
         raise NotInterfering(
             "final arm velocities differ; no stationary far-field fringe")
 
     terms = []
-    v0a, x0a = kinematics._fvec(seq.arm_a.v0), kinematics._fvec(seq.arm_a.x0)
-    v0b, x0b = kinematics._fvec(seq.arm_b.v0), kinematics._fvec(seq.arm_b.x0)
-    start = kinematics._fv_dot(v0b, x0b) - kinematics._fv_dot(v0a, x0a)
+    start = (kinematics.dot_exact(seq.arm_b.v0, seq.arm_b.x0)
+             - kinematics.dot_exact(seq.arm_a.v0, seq.arm_a.x0))
     if start:
         terms.append(m_over_h * float(start))
 
-    dx_end = kinematics._fv_sub(ta.end_position, tb.end_position)
     events = [t for arm in seq.arms() for t in arm.event_times()]
-    if any(dx_end) and events:
-        t_first = min(events)
-        dv_first = kinematics._fv_sub(ta.velocity_exact(t_first),
-                                      tb.velocity_exact(t_first))
+    if any(pd.end_position) and events:
+        dv_first = pd.velocity_exact(min(events))
         # k_e . dx_i with dx_i the initial separation of the points that
         # finally overlap: dx_i = -(final separation) for a common launch.
-        terms.append(-m_over_h * float(kinematics._fv_dot(dv_first, dx_end)))
+        terms.append(-m_over_h * float(kinematics.dot_exact(
+            dv_first, pd.end_position)))
     return math.fsum(terms) if terms else 0.0
 
 
@@ -409,8 +404,8 @@ def sagnac_phase(seq: InterferometerSequence, omega=None, *, g=None) -> float:
                       stacklevel=2)
     ta, tb = kinematics.arm_trajectories(seq)
     pd = kinematics.path_difference(seq)
-    self_term = kinematics._float3(kinematics._fv_sub(
-        ta.self_cross_moment(), tb.self_cross_moment()))
+    self_term = np.array([float(ca - cb) for ca, cb in zip(
+        ta.self_cross_moment(), tb.self_cross_moment())])
     area = kinematics.space_time_area(seq)
     tmom = pd.moment_poly(1)
     v0 = np.asarray(seq.v_i) + g * float(seq.T)

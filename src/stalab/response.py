@@ -10,7 +10,6 @@ references for the standard configurations live at the bottom.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +33,8 @@ def transfer(seq: InterferometerSequence, omega: float):
 def _is_collinear(seq: InterferometerSequence) -> bool:
     khat = seq.params.k_hat
     pd = kinematics.path_difference(seq)
-    for i, _ in enumerate(pd.pieces):
-        for c in pd._fpos[i]:
+    for i in range(len(pd.pieces)):
+        for c in pd.position_coeffs(i):
             n = float(np.linalg.norm(c))
             if n and float(np.linalg.norm(np.cross(c, khat))) > _COLLINEAR_RTOL * n:
                 return False
@@ -59,7 +58,7 @@ def abs_area(seq: InterferometerSequence) -> float:
     khat = seq.params.k_hat
     parts = []
     for i, piece in enumerate(pd.pieces):
-        c = pd._fpos[i] @ khat  # scalar quadratic coefficients (c0, c1, c2)
+        c = pd.position_coeffs(i) @ khat  # scalar quadratic (c0, c1, c2)
         t0, t1 = float(piece.t0), float(piece.t1)
         cuts = [t0]
         for r in _quad_roots(c[2], c[1], c[0]):
@@ -160,11 +159,7 @@ def _omega_grid(omega_min: float, omega_max: float, points: int,
 def response_curve(seq: InterferometerSequence, omega_min: float,
                    omega_max: float, points: int,
                    scale: str = "linear") -> TransferFunctions:
-    """Evaluate the transfer functions on a deterministic omega grid.
-
-    The grid sweep is data-parallel; STALAB_THREADS > 1 enables a thread
-    pool, with results assembled in grid order either way.
-    """
+    """Evaluate the transfer functions on a deterministic omega grid."""
     grid = _omega_grid(omega_min, omega_max, points, scale)
     pd = kinematics.path_difference(seq)
     collinear = _is_collinear(seq)
@@ -172,21 +167,8 @@ def response_curve(seq: InterferometerSequence, omega_min: float,
     area_proj = _project(seq, area_vec, collinear)
     astar = abs_area(seq)
 
-    def one(w: float):
-        ac = pd.moment_trig("cos", w)
-        a_s = pd.moment_trig("sin", w)
-        return ac, a_s
-
-    threads = int(os.environ.get("STALAB_THREADS", "1") or "1")
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, grid))
-    else:
-        results = [one(w) for w in grid]
-
-    ac = np.array([r[0] for r in results])
-    a_s = np.array([r[1] for r in results])
+    ac = np.array([pd.moment_trig("cos", w) for w in grid])
+    a_s = np.array([pd.moment_trig("sin", w) for w in grid])
     if area_proj != 0.0:
         r = np.abs([_project(seq, v, collinear) for v in ac]) / abs(area_proj)
     else:

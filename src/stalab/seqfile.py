@@ -26,6 +26,7 @@ round trip preserves every time bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any
 
@@ -76,7 +77,14 @@ def _parse_time(value: Any, where: str) -> Fraction:
 def _parse_float(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise SequenceFileError(where, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise SequenceFileError(where,
+                                f"expected a finite number, got {value!r}")
+    return out
 
 
 def _parse_vec(value: Any, where: str) -> tuple[float, float, float]:

@@ -82,8 +82,8 @@ class PhysicalParams:
 
     def __post_init__(self):
         object.__setattr__(self, "k", as_vec(self.k))
-        if not (self.m > 0 and self.hbar > 0):
-            raise SequenceError("mass and hbar must be positive")
+        if not (0 < self.m < np.inf and 0 < self.hbar < np.inf):
+            raise SequenceError("mass and hbar must be positive and finite")
         if self.k_mag == 0.0 or not _finite(self.k):
             raise SequenceError("wave vector must be finite and nonzero")
         if int(self.n) != self.n or self.n < 1:
@@ -268,9 +268,11 @@ class InterferometerSequence:
         object.__setattr__(self, "T", as_time(self.T))
         if self.T <= 0:
             raise SequenceError("half-duration T must be positive")
-        object.__setattr__(self, "g", as_vec(self.g))
-        object.__setattr__(self, "omega", as_vec(self.omega))
-        object.__setattr__(self, "v_i", as_vec(self.v_i))
+        for name in ("g", "omega", "v_i"):
+            vec = as_vec(getattr(self, name))
+            if not _finite(vec):
+                raise SequenceError(f"{name} must be finite")
+            object.__setattr__(self, name, vec)
 
     @property
     def horizon(self) -> Fraction:
@@ -539,12 +541,9 @@ def closure_defect(seq: InterferometerSequence) -> tuple[np.ndarray, np.ndarray]
     """
     from . import kinematics
 
-    ta = kinematics.integrate_arm(seq.arm_a, seq.params, seq.horizon)
-    tb = kinematics.integrate_arm(seq.arm_b, seq.params, seq.horizon)
-    dx = tuple(pa - pb for pa, pb in zip(ta.end_position, tb.end_position))
-    dv = tuple(va - vb for va, vb in zip(ta.end_velocity, tb.end_velocity))
-    return (np.array([float(c) for c in dx]),
-            np.array([float(c) for c in dv]))
+    pd = kinematics.path_difference(seq)
+    return (np.array([float(c) for c in pd.end_position]),
+            np.array([float(c) for c in pd.end_velocity]))
 
 
 def is_closed(seq: InterferometerSequence, rel_tol: float = 1e-9) -> bool:
@@ -574,8 +573,7 @@ def symmetry_class(seq: InterferometerSequence) -> frozenset[Symmetry]:
     """
     from . import kinematics
 
-    ta = kinematics.integrate_arm(seq.arm_a, seq.params, seq.horizon)
-    tb = kinematics.integrate_arm(seq.arm_b, seq.params, seq.horizon)
+    ta, tb = kinematics.arm_trajectories(seq)
     labels = set()
     if kinematics.mirror_velocity_equal(ta, tb, +1):
         labels.add(Symmetry.VELOCITY_MIRROR)

@@ -49,6 +49,28 @@ class TestPhaseCommand:
         assert code == 1
         assert "params.k" in err
 
+    @pytest.mark.parametrize("where,token,field", [
+        (("g", 2), "NaN", "g[2]"),
+        (("arm_a", "kicks", 0, "phi"), "Infinity", "arm_a.kicks[0].phi"),
+        (("params", "m"), "Infinity", "params.m"),
+        (("params", "hbar"), "-Infinity", "params.hbar"),
+        (("v_i", 0), "1e999", "v_i[0]"),
+    ])
+    def test_non_finite_value_exit_1_names_field(self, where, token, field,
+                                                 tmp_path, capsys):
+        doc = seqfile.sequence_to_dict(
+            st.build_mach_zehnder(st.PhysicalParams.rubidium87(), "0.1"))
+        *outer, last = where
+        target = doc
+        for key in outer:
+            target = target[key]
+        target[last] = "@@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"@@"', token))
+        code, out, err = run(["phase", "--input", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: field '{field}'")
+
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(["phase", "--input", "/nonexistent.json"], capsys)
         assert code == 1

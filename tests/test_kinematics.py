@@ -116,6 +116,15 @@ class TestMoments:
             asn = st.integrate_polynomial_moment(pd, ("sin", w))
             assert np.max(np.abs(asn)) == 0.0
 
+    def test_parity_gives_literal_zero_quadratures(self, params, T):
+        # continuous cab is separation-symmetric, the butterfly antisymmetric;
+        # summing pieces alone leaves rounding residue in the odd quadrature
+        for seq, kind in ((st.build_cab(params, T, 5), "sin"),
+                          (st.build_butterfly(params, T), "cos")):
+            pd = st.path_difference(seq)
+            for w in np.geomspace(1.0, 1e4, 300):
+                assert np.max(np.abs(pd.moment_trig(kind, w))) == 0.0
+
     def test_weight_one_mz(self, params, T):
         pd = st.path_difference(st.build_mach_zehnder(params, T))
         area = st.integrate_polynomial_moment(pd, 1)

@@ -325,3 +325,23 @@ class TestTotalPhase:
         csv = bd.to_csv()
         assert csv.splitlines()[0] == "term,radians"
         assert csv.splitlines()[-1].startswith("total,")
+
+    def test_each_arm_integrated_once(self, params, g_down, monkeypatch):
+        from stalab import kinematics
+
+        labels = []
+        original = kinematics.integrate_arm
+
+        def counting(arm, *args, **kwargs):
+            labels.append(arm.label)
+            return original(arm, *args, **kwargs)
+
+        monkeypatch.setattr(kinematics, "integrate_arm", counting)
+        # a half-duration no other test builds, so every cache starts cold
+        seq = st.build_cab(params, Fraction(1234567, 10**7), 3,
+                           g=g_down, omega=(1e-5, 2e-5, 0.0))
+        st.total_phase(seq)
+        assert sorted(labels) == ["a", "b"]
+        labels.clear()
+        st.total_phase(seq)
+        assert labels == []

@@ -170,12 +170,16 @@ class TestResponseCurve:
         assert np.all(np.isnan(curves.r))
         assert np.all(np.isfinite(curves.r_star))
 
-    def test_thread_cap_does_not_change_output(self, params, T, monkeypatch):
-        seq = st.build_cab(params, T, 4, T_r=0)
-        serial = st.response_curve(seq, 1.0, 300.0, 40, "log").to_csv()
-        monkeypatch.setenv("STALAB_THREADS", "4")
-        threaded = st.response_curve(seq, 1.0, 300.0, 40, "log").to_csv()
-        assert serial == threaded
+    def test_csv_repeats_and_rows_match_transfer(self, params, T):
+        for seq in (st.build_cab(params, T, 4, T_r=0),
+                    st.build_recoil_triangle(params, T)):
+            curves = st.response_curve(seq, 1.0, 300.0, 40, "log")
+            assert curves.to_csv() \
+                == st.response_curve(seq, 1.0, 300.0, 40, "log").to_csv()
+            for i, w in enumerate(curves.omega):
+                ac, a_s = st.transfer(seq, w)
+                np.testing.assert_array_equal(curves.area_cos[i], ac)
+                np.testing.assert_array_equal(curves.area_sin[i], a_s)
 
     def test_parseval_style_consistency(self, params, T, g_down):
         # discrete-series inertial phase at one harmonic equals the direct

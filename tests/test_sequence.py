@@ -1,5 +1,6 @@
 """Sequence construction, catalog builders, closure and symmetry checks."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,19 @@ class TestPhysicalParams:
             st.PhysicalParams(m=1e-25, k=(0, 0, 0))
         with pytest.raises(SequenceError):
             st.PhysicalParams(m=1e-25, k=(0, 0, 1e7), n=0)
+
+    @pytest.mark.parametrize("m,hbar", [(math.inf, st.HBAR), (1e-25, math.nan),
+                                        (1e-25, math.inf)])
+    def test_non_finite_mass_or_hbar_rejected(self, m, hbar):
+        with pytest.raises(SequenceError):
+            st.PhysicalParams(m=m, k=(0, 0, 1e7), hbar=hbar)
+
+    @pytest.mark.parametrize("name", ["g", "omega", "v_i"])
+    def test_non_finite_sequence_vectors_rejected(self, params, T, name):
+        with pytest.raises(SequenceError, match=name):
+            st.InterferometerSequence(params, T, st.ArmTimeline("a"),
+                                      st.ArmTimeline("b"),
+                                      **{name: (0.0, math.nan, 0.0)})
 
     def test_as_time_exact_decimal(self):
         assert st.as_time("0.1") == Fraction(1, 10)
