@@ -14,7 +14,7 @@ from .kinematics import (PathDifference, PiecewiseTrajectory,
 from .oracle import (EquivalenceReport, OracleConfig, action_phase,
                      kicktrain_equivalence, quadrature_transfer,
                      random_closed_sequence, random_mirrored_sequence,
-                     sagnac_oracle)
+                     reference_trig_moments, sagnac_oracle)
 from .phase import (MagneticSchedule, OffsetSchedule, PhaseBreakdown,
                     Waveform, fourier_coefficients, fourier_phase,
                     inertial_phase, inertial_phase_timevarying,

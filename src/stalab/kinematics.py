@@ -11,8 +11,10 @@ Each arm is integrated once per sequence (`arm_trajectories` and
 read those trajectories through the public methods defined here.
 
 Weighted integrals of the arm separation are evaluated per segment in
-closed form. Polynomial weights stay in rational arithmetic; cos/sin
-weights use stable antiderivatives, switching to a Taylor series in omega
+closed form. Polynomial weights stay in rational arithmetic. Cos/sin
+weights go through one vectorised kernel, `PathDifference.trig_moments`,
+over a whole omega grid at once: each (omega, piece) pair uses the stable
+antiderivatives, or a Taylor series in omega over the exact power moments
 below z = |omega| * max|t| = 1/2 where the closed forms lose digits. The
 odd quadrature of an exactly (anti)symmetric separation is a literal zero.
 """
@@ -35,6 +37,14 @@ _ZERO3 = (Fraction(0), Fraction(0), Fraction(0))
 
 # z = |omega| * max|t| below which trig moments use the series branch
 _SERIES_Z = 0.5
+# series terms; below the switch they fall at least as fast as (z^2/2)^m,
+# so 17 reach double precision with margin
+_SERIES_TERMS = 17
+# float power moments kept per piece: int t^p dt for p = 0 .. _NPOW - 1
+_NPOW = 2 * _SERIES_TERMS + 2
+# (omega, piece) pairs per kernel pass: a block holds max(1, this // pieces)
+# omegas, which bounds the temporaries
+_TRIG_PAIRS = 4096
 
 
 def _fvec(values) -> FVec:
@@ -110,8 +120,9 @@ class PiecewiseTrajectory:
         self.end_velocity = end_velocity
         self.times = [p.t0 for p in pieces] + [pieces[-1].t1]
         self._ftimes = np.array([float(t) for t in self.times])
-        self._fpos = [np.array([_float3(c) for c in p.pos]) for p in pieces]
-        self._fvel = [np.array([_float3(c) for c in p.vel]) for p in pieces]
+        # (pieces, power, axis) float coefficients
+        self._fpos = np.array([[_float3(c) for c in p.pos] for p in pieces])
+        self._fvel = np.array([[_float3(c) for c in p.vel] for p in pieces])
 
     @property
     def start(self) -> Fraction:
@@ -293,7 +304,7 @@ class PathDifference(PiecewiseTrajectory):
     def __init__(self, pieces: list[_Piece], end_position: FVec,
                  end_velocity: FVec):
         super().__init__(pieces, end_position, end_velocity)
-        self._powers: dict[tuple[int, int], Fraction] = {}
+        self._poly: dict[int, FVec] = {}
 
     def separation(self, t) -> np.ndarray:
         t = Fraction(t)
@@ -321,51 +332,109 @@ class PathDifference(PiecewiseTrajectory):
             vs = max(vs, float(np.max(np.abs(c[1]) + 2 * tm * np.abs(c[2]))))
         return xs, vs
 
-    def _pow(self, i: int, p: int) -> Fraction:
-        """Cached exact integral of t^p over piece i."""
-        key = (i, p)
-        val = self._powers.get(key)
-        if val is None:
-            piece = self.pieces[i]
-            val = _power_moment(piece.t0, piece.t1, p)
-            self._powers[key] = val
-        return val
-
     def moment_poly_exact(self, p: int = 0) -> FVec:
-        """Exact integral of t^p * dx(t) dt over the window."""
-        total = _ZERO3
-        for i, piece in enumerate(self.pieces):
-            for j, c in enumerate(piece.pos):
-                total = _fv_add(total, _fv_scale(c, self._pow(i, j + p)))
+        """Exact integral of t^p * dx(t) dt over the window (cached per p)."""
+        total = self._poly.get(p)
+        if total is None:
+            total = _ZERO3
+            for piece in self.pieces:
+                for j, c in enumerate(piece.pos):
+                    total = _fv_add(total, _fv_scale(
+                        c, _power_moment(piece.t0, piece.t1, j + p)))
+            self._poly[p] = total
         return total
 
     def moment_poly(self, p: int = 0) -> np.ndarray:
         return _float3(self.moment_poly_exact(p))
 
     def moment_trig(self, kind: str, omega: float) -> np.ndarray:
-        """Integral of cos(omega t) or sin(omega t) times dx(t) dt."""
-        if omega < 0:
-            raise SequenceError("omega must be non-negative")
+        """Integral of cos(omega t) or sin(omega t) times dx(t) dt: one row
+        of `trig_moments`."""
         if kind not in ("cos", "sin"):
             raise SequenceError(f"unknown trig weight {kind!r}")
-        if omega == 0.0:
-            return self.moment_poly(0) if kind == "cos" else np.zeros(3)
+        ac, a_s = self.trig_moments((omega,))
+        return ac[0] if kind == "cos" else a_s[0]
+
+    def trig_moments(self, omegas) -> tuple[np.ndarray, np.ndarray]:
+        """Cosine and sine quadratures (Ac, As) of dx(t) at every omega of a
+        1-D array, each of shape (N, 3), in one vectorised pass.
+
+        A pair (omega, piece) with z = omega * max|t| >= 1/2 uses the
+        closed-form antiderivatives, a pair below it the Taylor series in
+        omega over the piece's exact power moments. Each (omega, axis)
+        sums its pieces with math.fsum (correctly rounded), so a row does
+        not depend on the other omegas of the grid. omega = 0 gives
+        moment_poly(0) and a zero sine quadrature; mirror parity +1 makes
+        the sine quadrature a literal zero and -1 the cosine quadrature.
+        """
+        w = np.atleast_1d(np.asarray(omegas, dtype=float))
+        if w.ndim != 1:
+            raise SequenceError("omegas must be a 1-D array")
+        bad = w[~np.isfinite(w)]
+        if bad.size:
+            raise SequenceError(f"omega must be finite, got {float(bad[0])}")
+        if (w < 0).any():
+            raise SequenceError("omega must be non-negative")
+        ac = np.zeros((w.size, 3))
+        a_s = np.zeros((w.size, 3))
         # the odd quadrature of a (anti)symmetric dx(t) vanishes identically
-        if self.mirror_parity() == (1 if kind == "sin" else -1):
-            return np.zeros(3)
-        parts = [[], [], []]
-        for i, piece in enumerate(self.pieces):
-            z = omega * max(abs(float(piece.t0)), abs(float(piece.t1)))
-            if z < _SERIES_Z:
-                ints = _trig_series(self, i, kind, omega)
-            else:
-                ints = _trig_closed(float(piece.t0), float(piece.t1),
-                                    kind, omega)
-            c = self._fpos[i]
-            for ax in range(3):
-                parts[ax].append(c[0][ax] * ints[0] + c[1][ax] * ints[1]
-                                 + c[2][ax] * ints[2])
-        return np.array([math.fsum(p) for p in parts])
+        parity = self.mirror_parity()
+        want_cos, want_sin = parity != -1, parity != 1
+        rows = max(1, _TRIG_PAIRS // len(self.pieces))
+        for start in range(0, w.size, rows):
+            block = slice(start, start + rows)
+            c, s = self._trig_block(w[block], want_cos, want_sin)
+            if want_cos:
+                ac[block] = c
+            if want_sin:
+                a_s[block] = s
+        zero = w == 0.0
+        if zero.any():  # the exact area, not the series' float sum
+            ac[zero] = self.moment_poly(0)
+            a_s[zero] = 0.0
+        return ac, a_s
+
+    def _trig_block(self, w: np.ndarray, want_cos: bool, want_sin: bool):
+        """Both quadratures on one block of omegas (None for a quadrature
+        not wanted): every (omega, piece) pair goes through exactly one
+        branch, so neither is evaluated where it could overflow."""
+        series = w[:, None] * self._tmax[None, :] < _SERIES_Z
+        parts = [np.zeros((w.size, len(self.pieces), 3)) if want else None
+                 for want in (want_cos, want_sin)]
+        for mask, branch in ((~series, self._closed_pairs),
+                             (series, self._series_pairs)):
+            r, p = np.nonzero(mask)
+            if r.size:
+                ints = branch(w, r, p, want_cos, want_sin)
+                coeffs = self._fpos[p]
+                for out, i in zip(parts, ints):
+                    if out is not None:
+                        out[r, p] = _combine(coeffs, i)
+        return [None if out is None else _fsum_pieces(out) for out in parts]
+
+    def _closed_pairs(self, w, r, p, want_cos: bool, want_sin: bool):
+        # sin and cos at every breakpoint, shared by both quadratures
+        wt = w[:, None] * self._ftimes[None, :]
+        sin_t, cos_t = np.sin(wt), np.cos(wt)
+        return _closed_integrals(w[r], self._ftimes[p], self._ftimes[p + 1],
+                                 sin_t[r, p], cos_t[r, p],
+                                 sin_t[r, p + 1], cos_t[r, p + 1],
+                                 want_cos, want_sin)
+
+    def _series_pairs(self, w, r, p, want_cos: bool, want_sin: bool):
+        return _series_integrals(w[r], self._pow[:, p], want_cos, want_sin)
+
+    @cached_property
+    def _tmax(self) -> np.ndarray:
+        """max(|t0|, |t1|) per piece, the series/closed-form switch scale."""
+        return np.maximum(np.abs(self._ftimes[:-1]), np.abs(self._ftimes[1:]))
+
+    @cached_property
+    def _pow(self) -> np.ndarray:
+        """Float int t^p dt over each piece for p < _NPOW, (_NPOW, pieces):
+        each the correctly rounded value of the exact rational."""
+        return np.array([_float_power_moments(piece.t0, piece.t1, _NPOW)
+                         for piece in self.pieces]).T.copy()
 
     def mirror_parity(self) -> int | None:
         """+1 if dx(t) == dx(-t), -1 if dx(t) == -dx(-t), else None (exact,
@@ -474,55 +543,92 @@ def first_time_moment(seq: InterferometerSequence) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# trig-weighted segment integrals
+# trig-weighted segment integrals, vectorised over (omega, piece) pairs
 # ----------------------------------------------------------------------
 
-def _trig_closed(a: float, b: float, kind: str, w: float):
-    """Stable antiderivative evaluation of int t^j trig(w t) dt, j = 0,1,2."""
-    sa, ca = math.sin(w * a), math.cos(w * a)
-    sb, cb = math.sin(w * b), math.cos(w * b)
+def _float_power_moments(t0: Fraction, t1: Fraction,
+                         count: int) -> list[float]:
+    """float(int t^p dt over [t0, t1]) for p < count, each correctly rounded.
+
+    Integer arithmetic over the common denominator (d0 d1)^k gives the same
+    correctly rounded floats as converting each exact Fraction, without a
+    gcd per power.
+    """
+    n0, d0 = t0.numerator, t0.denominator
+    n1, d1 = t1.numerator, t1.denominator
+    step0, step1, step_d = n0 * d1, n1 * d0, d0 * d1
+    lo = hi = den = 1
+    out = []
+    for k in range(1, count + 1):
+        lo *= step0
+        hi *= step1
+        den *= step_d
+        out.append((hi - lo) / (k * den))
+    return out
+
+
+def _closed_integrals(w, a, b, sa, ca, sb, cb, want_cos: bool,
+                      want_sin: bool):
+    """Stable antiderivative evaluation of int t^j trig(w t) dt, j = 0,1,2,
+    per pair; (cos integrals, sin integrals), None where not wanted."""
     iw = 1.0 / w
     iw2 = iw * iw
     iw3 = iw2 * iw
-    if kind == "cos":
-        i0 = (sb - sa) * iw
-        i1 = (cb - ca) * iw2 + (b * sb - a * sa) * iw
-        i2 = (2.0 * (b * cb - a * ca)) * iw2 + (b * b * iw - 2.0 * iw3) * sb \
-            - (a * a * iw - 2.0 * iw3) * sa
-    else:
-        i0 = (ca - cb) * iw
-        i1 = (sb - sa) * iw2 - (b * cb - a * ca) * iw
-        i2 = (2.0 * (b * sb - a * sa)) * iw2 - (b * b * iw - 2.0 * iw3) * cb \
-            + (a * a * iw - 2.0 * iw3) * ca
-    return (i0, i1, i2)
+    cos_ints = sin_ints = None
+    if want_cos:
+        cos_ints = ((sb - sa) * iw,
+                    (cb - ca) * iw2 + (b * sb - a * sa) * iw,
+                    (2.0 * (b * cb - a * ca)) * iw2
+                    + (b * b * iw - 2.0 * iw3) * sb
+                    - (a * a * iw - 2.0 * iw3) * sa)
+    if want_sin:
+        sin_ints = ((ca - cb) * iw,
+                    (sb - sa) * iw2 - (b * cb - a * ca) * iw,
+                    (2.0 * (b * sb - a * sa)) * iw2
+                    - (b * b * iw - 2.0 * iw3) * cb
+                    + (a * a * iw - 2.0 * iw3) * ca)
+    return cos_ints, sin_ints
 
 
-def _trig_series(pd: PathDifference, i: int, kind: str, w: float):
-    """Series in omega for int t^j trig(w t) dt with exact power moments.
+def _series_integrals(w, pw, want_cos: bool, want_sin: bool):
+    """Series in omega for int t^j trig(w t) dt per pair, from the float
+    power moments pw (_NPOW, pairs) of each pair's piece:
 
     cos: sum_m (-w^2)^m / (2m)! * P(j + 2m)
     sin: sum_m (-1)^m w^(2m+1) / (2m+1)! * P(j + 2m + 1)
-    Terms fall at least as fast as (z^2/2)^m for z < 1/2, so a fixed cap
-    of 16 terms reaches double precision with margin.
+
+    Coefficients are running products and terms are added in order of m.
     """
+    m = np.arange(_SERIES_TERMS)[:, None]
     out = []
-    for j in range(3):
-        total = 0.0
-        if kind == "cos":
-            coeff = 1.0
-            for m in range(17):
-                term = coeff * float(pd._pow(i, j + 2 * m))
-                total += term
-                if abs(term) <= 1e-30 * (abs(total) + 1e-300) and m > 1:
-                    break
-                coeff *= -(w * w) / ((2 * m + 1) * (2 * m + 2))
-        else:
-            coeff = w
-            for m in range(17):
-                term = coeff * float(pd._pow(i, j + 2 * m + 1))
-                total += term
-                if abs(term) <= 1e-30 * (abs(total) + 1e-300) and m > 1:
-                    break
-                coeff *= -(w * w) / ((2 * m + 2) * (2 * m + 3))
-        out.append(total)
-    return tuple(out)
+    for want, first, shift in ((want_cos, 1.0, 0), (want_sin, w, 1)):
+        if not want:
+            out.append(None)
+            continue
+        steps = np.empty((_SERIES_TERMS, w.size))
+        steps[0] = first
+        steps[1:] = -(w * w) / ((2 * m[:-1] + 1 + shift)
+                                * (2 * m[:-1] + 2 + shift))
+        coeff = np.cumprod(steps, axis=0)
+        totals = []
+        for j in range(3):
+            terms = coeff * pw[j + shift:j + shift + 2 * _SERIES_TERMS:2]
+            terms[0] += 0.0  # a running sum starts from +0.0
+            # accumulate, unlike reduce, adds strictly in order of m
+            totals.append(np.add.accumulate(terms, axis=0, out=terms)[-1])
+        out.append(tuple(totals))
+    return out
+
+
+def _combine(coeffs: np.ndarray, ints) -> np.ndarray:
+    """Per-pair vector integral c0 * I0 + c1 * I1 + c2 * I2, (pairs, 3)."""
+    i0, i1, i2 = ints
+    return (coeffs[:, 0] * i0[:, None] + coeffs[:, 1] * i1[:, None]
+            + coeffs[:, 2] * i2[:, None])
+
+
+def _fsum_pieces(parts: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum over the pieces axis of (omegas, pieces, 3)."""
+    n, npc, _ = parts.shape
+    rows = parts.transpose(0, 2, 1).reshape(-1, npc).tolist()
+    return np.array(list(map(math.fsum, rows))).reshape(n, 3)

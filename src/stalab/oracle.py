@@ -172,6 +172,51 @@ def quadrature_transfer(seq: InterferometerSequence, omega: float,
         prev = cur
 
 
+def reference_trig_moments(seq: InterferometerSequence, omega: float):
+    """(Ac, As) from the exact antiderivatives of t^j cos/sin(omega t),
+    evaluated in mpmath at 80 significant digits from the exact rational
+    piece coefficients, then rounded to doubles.
+
+    A high-precision reference for the float trig-moment kernel: no series
+    branch, no float coefficients and no parity shortcut. Needs mpmath.
+    """
+    import mpmath
+
+    if not math.isfinite(omega) or omega < 0:
+        raise SequenceError(f"omega must be finite and non-negative, "
+                            f"got {omega}")
+    pd = kinematics.path_difference(seq)
+    with mpmath.workdps(80):
+        def mp(x: Fraction):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        w = mpmath.mpf(omega)
+
+        def antiderivatives(t):
+            """(int t^j cos, int t^j sin) for j = 0, 1, 2 at t."""
+            if omega == 0:
+                return [t ** (j + 1) / (j + 1) for j in range(3)], [0, 0, 0]
+            s, c = mpmath.sin(w * t), mpmath.cos(w * t)
+            k = t * t / w - 2 / w ** 3
+            return ([s / w, c / w ** 2 + t * s / w,
+                     2 * t * c / w ** 2 + k * s],
+                    [-c / w, s / w ** 2 - t * c / w,
+                     2 * t * s / w ** 2 - k * c])
+
+        ac = [mpmath.mpf(0)] * 3
+        a_s = [mpmath.mpf(0)] * 3
+        for piece in pd.pieces:
+            lo_c, lo_s = antiderivatives(mp(piece.t0))
+            hi_c, hi_s = antiderivatives(mp(piece.t1))
+            for j, coeff in enumerate(piece.pos):
+                for ax in range(3):
+                    c = mp(coeff[ax])
+                    ac[ax] += c * (hi_c[j] - lo_c[j])
+                    a_s[ax] += c * (hi_s[j] - lo_s[j])
+        return (np.array([float(v) for v in ac]),
+                np.array([float(v) for v in a_s]))
+
+
 def sagnac_oracle(seq: InterferometerSequence, omega_rot=None,
                   cfg: OracleConfig | None = None) -> float:
     """Rotation phase from the perturbative Lagrangian m Omega . (r x v)
@@ -307,15 +352,21 @@ def random_closed_sequence(rng: np.random.Generator, params: PhysicalParams,
         arms.append(ArmTimeline(label, kicks=tuple(kicks),
                                 segments=tuple(segments)))
 
-    seq = InterferometerSequence(params, T, arms[0], arms[1], name="random")
-    dx, _ = kinematics.end_difference(*kinematics.arm_trajectories(seq))
+    # every event lies in [-T, T], so each draft's window is [-T, T]; the
+    # drafts are integrated uncached so they never enter the trajectory cache
+    ta = kinematics.integrate_arm(arms[0], params, T)
+
+    def end_difference(arm_b: ArmTimeline):
+        return kinematics.end_difference(
+            ta, kinematics.integrate_arm(arm_b, params, T))
+
+    dx, _ = end_difference(arms[1])
     t_c = T * Fraction(denom - 4, denom)
     dv_c = tuple(np.array([float(c) for c in dx]) / float(T - t_c))
     kicks_b = arms[1].kicks + (ImpulseKick(t_c, dv_c),)
     arm_b = ArmTimeline("b", kicks=kicks_b, segments=arms[1].segments)
 
-    seq = InterferometerSequence(params, T, arms[0], arm_b, name="random")
-    _, dv_end = kinematics.end_difference(*kinematics.arm_trajectories(seq))
+    _, dv_end = end_difference(arm_b)
     patch = ImpulseKick(T, tuple(float(c) for c in dv_end))
     arm_b = ArmTimeline("b", kicks=kicks_b + (patch,),
                         segments=arms[1].segments)

@@ -284,10 +284,11 @@ def inertial_phase_timevarying(seq: InterferometerSequence, g) -> float:
         parts.append(float(np.dot(g.constant, pd.moment_poly(0))))
     for amp, p in g.polys:
         parts.append(float(np.dot(amp, pd.moment_poly(p))))
-    for amp, w in g.cosines:
-        parts.append(float(np.dot(amp, pd.moment_trig("cos", w))))
-    for amp, w in g.sines:
-        parts.append(float(np.dot(amp, pd.moment_trig("sin", w))))
+    trig = g.cosines + g.sines
+    ac, a_s = pd.trig_moments([w for _, w in trig])
+    for k, (amp, _) in enumerate(trig):
+        moment = ac[k] if k < len(g.cosines) else a_s[k]
+        parts.append(float(np.dot(amp, moment)))
     return seq.params.m / seq.params.hbar * math.fsum(parts)
 
 
@@ -301,14 +302,15 @@ def fourier_phase(seq: InterferometerSequence,
     """
     pd = kinematics.path_difference(seq)
     T = float(seq.T)
+    areas_cos, areas_sin = pd.trig_moments(
+        [j * math.pi / T for j in range(len(coefficients))])
     parts = []
-    for j, pair in enumerate(coefficients):
-        ac, a_s = pair
-        w = j * math.pi / T
+    for (ac, a_s), area_cos, area_sin in zip(coefficients, areas_cos,
+                                             areas_sin):
         if ac is not None and any(as_vec(ac)):
-            parts.append(float(np.dot(as_vec(ac), pd.moment_trig("cos", w))))
+            parts.append(float(np.dot(as_vec(ac), area_cos)))
         if a_s is not None and any(as_vec(a_s)):
-            parts.append(float(np.dot(as_vec(a_s), pd.moment_trig("sin", w))))
+            parts.append(float(np.dot(as_vec(a_s), area_sin)))
     return seq.params.m / seq.params.hbar * math.fsum(parts)
 
 

@@ -24,10 +24,8 @@ _COLLINEAR_RTOL = 1e-12
 
 def transfer(seq: InterferometerSequence, omega: float):
     """Quadrature areas (Ac, As) at angular frequency omega (rad/s)."""
-    if omega < 0:
-        raise SequenceError("omega must be non-negative")
-    pd = kinematics.path_difference(seq)
-    return (pd.moment_trig("cos", omega), pd.moment_trig("sin", omega))
+    ac, a_s = kinematics.path_difference(seq).trig_moments((omega,))
+    return ac[0], a_s[0]
 
 
 def _is_collinear(seq: InterferometerSequence) -> bool:
@@ -41,10 +39,9 @@ def _is_collinear(seq: InterferometerSequence) -> bool:
     return True
 
 
-def _project(seq: InterferometerSequence, vec: np.ndarray,
-             collinear: bool) -> float:
+def _project(khat: np.ndarray, vec: np.ndarray, collinear: bool) -> float:
     if collinear:
-        return float(np.dot(vec, seq.params.k_hat))
+        return float(np.dot(vec, khat))
     return float(np.linalg.norm(vec))
 
 
@@ -101,9 +98,10 @@ def sensitivity_R(seq: InterferometerSequence, omega: float) -> float:
     if not any(area_exact):
         raise ZeroArea("space-time area is zero; use sensitivity_Rstar")
     collinear = _is_collinear(seq)
-    area = _project(seq, kinematics.space_time_area(seq), collinear)
+    khat = seq.params.k_hat
+    area = _project(khat, kinematics.space_time_area(seq), collinear)
     ac, _ = transfer(seq, omega)
-    return abs(_project(seq, ac, collinear)) / abs(area)
+    return abs(_project(khat, ac, collinear)) / abs(area)
 
 
 def sensitivity_Rstar(seq: InterferometerSequence, omega: float) -> float:
@@ -116,7 +114,7 @@ def sensitivity_Rstar(seq: InterferometerSequence, omega: float) -> float:
         raise DegenerateSequence("rectified area along k_hat is zero")
     collinear = _is_collinear(seq)
     _, asin = transfer(seq, omega)
-    return abs(_project(seq, asin, collinear)) / astar
+    return abs(_project(seq.params.k_hat, asin, collinear)) / astar
 
 
 @dataclass(frozen=True)
@@ -145,6 +143,9 @@ class TransferFunctions:
 
 def _omega_grid(omega_min: float, omega_max: float, points: int,
                 scale: str) -> np.ndarray:
+    for name, value in (("omega_min", omega_min), ("omega_max", omega_max)):
+        if not math.isfinite(value):
+            raise SequenceError(f"{name} must be finite, got {value}")
     if not (0 <= omega_min < omega_max) or points < 2:
         raise SequenceError("need 0 <= omega_min < omega_max and points >= 2")
     if scale == "linear":
@@ -163,18 +164,18 @@ def response_curve(seq: InterferometerSequence, omega_min: float,
     grid = _omega_grid(omega_min, omega_max, points, scale)
     pd = kinematics.path_difference(seq)
     collinear = _is_collinear(seq)
+    khat = seq.params.k_hat
     area_vec = kinematics.space_time_area(seq)
-    area_proj = _project(seq, area_vec, collinear)
+    area_proj = _project(khat, area_vec, collinear)
     astar = abs_area(seq)
 
-    ac = np.array([pd.moment_trig("cos", w) for w in grid])
-    a_s = np.array([pd.moment_trig("sin", w) for w in grid])
+    ac, a_s = pd.trig_moments(grid)
     if area_proj != 0.0:
-        r = np.abs([_project(seq, v, collinear) for v in ac]) / abs(area_proj)
+        r = np.abs([_project(khat, v, collinear) for v in ac]) / abs(area_proj)
     else:
         r = np.full(grid.size, np.nan)
     if astar != 0.0:
-        rs = np.abs([_project(seq, v, collinear) for v in a_s]) / astar
+        rs = np.abs([_project(khat, v, collinear) for v in a_s]) / astar
     else:
         rs = np.full(grid.size, np.nan)
     return TransferFunctions(omega=grid, area_cos=ac, area_sin=a_s, r=r,

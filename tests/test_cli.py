@@ -119,6 +119,19 @@ class TestResponseCommand:
         _, out2, _ = run(argv, capsys)
         assert out1 == out2
 
+    @pytest.mark.parametrize("low, high, field", [
+        ("1", "inf", "omega_max"), ("nan", "5", "omega_min"),
+        ("-inf", "5", "omega_min")])
+    def test_non_finite_omega_exit_1_names_field(self, capsys, low, high,
+                                                 field):
+        code, out, err = run(["response", "--preset", "mz",
+                              f"--omega-min={low}", f"--omega-max={high}",
+                              "--points", "5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and field in err
+        assert "Warning" not in err
+
     def test_mz_envelope(self, capsys):
         code, out, _ = run(["response", "--preset", "mz", "--T", "0.1",
                             "--omega-min", "0", "--omega-max", "400",

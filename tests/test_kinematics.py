@@ -1,5 +1,8 @@
 """Exact trajectory integration and weighted moments of the separation."""
 
+import inspect
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -154,6 +157,151 @@ class TestMoments:
     def test_time_moment_symmetric_is_zero(self, params, T):
         seq = st.build_mach_zehnder(params, T)
         np.testing.assert_array_equal(st.first_time_moment(seq), [0, 0, 0])
+
+
+    def test_poly_moments_cached_per_order(self, params, T):
+        pd = st.path_difference(st.build_cab_kicktrain(params, T, 3))
+        assert pd.moment_poly_exact(1) is pd.moment_poly_exact(1)
+        assert pd.moment_poly_exact(0) == st.space_time_area_exact(
+            st.build_cab_kicktrain(params, T, 3))
+
+    def test_moment_methods_live_in_the_class_body(self):
+        # the benchmark's tracer wraps these through PathDifference.__dict__
+        for name in ("moment_poly_exact", "moment_trig", "mirror_parity",
+                     "trig_moments"):
+            assert inspect.isfunction(st.PathDifference.__dict__[name])
+
+
+def _scalar_trig(pd, kind, w):
+    """Per-piece scalar loop of the trig moments: math.sin/cos
+    antiderivatives at z >= 1/2, the omega series with early stop over
+    exact power moments below it, math.fsum over pieces."""
+    parts = [[], [], []]
+    for i, piece in enumerate(pd.pieces):
+        a, b = float(piece.t0), float(piece.t1)
+        if w * max(abs(a), abs(b)) < 0.5:
+            ints = []
+            for j in range(3):
+                shift = 0 if kind == "cos" else 1
+                coeff, total = (1.0 if kind == "cos" else w), 0.0
+                for m in range(17):
+                    term = coeff * float(kinematics._power_moment(
+                        piece.t0, piece.t1, j + 2 * m + shift))
+                    total += term
+                    if abs(term) <= 1e-30 * (abs(total) + 1e-300) and m > 1:
+                        break
+                    coeff *= -(w * w) / ((2 * m + 1 + shift)
+                                         * (2 * m + 2 + shift))
+                ints.append(total)
+        else:
+            sa, ca, sb, cb = (math.sin(w * a), math.cos(w * a),
+                              math.sin(w * b), math.cos(w * b))
+            iw = 1.0 / w
+            iw2 = iw * iw
+            iw3 = iw2 * iw
+            if kind == "cos":
+                ints = [(sb - sa) * iw,
+                        (cb - ca) * iw2 + (b * sb - a * sa) * iw,
+                        (2.0 * (b * cb - a * ca)) * iw2
+                        + (b * b * iw - 2.0 * iw3) * sb
+                        - (a * a * iw - 2.0 * iw3) * sa]
+            else:
+                ints = [(ca - cb) * iw,
+                        (sb - sa) * iw2 - (b * cb - a * ca) * iw,
+                        (2.0 * (b * sb - a * sa)) * iw2
+                        - (b * b * iw - 2.0 * iw3) * cb
+                        + (a * a * iw - 2.0 * iw3) * ca]
+        c = pd.position_coeffs(i)
+        for ax in range(3):
+            parts[ax].append(c[0][ax] * ints[0] + c[1][ax] * ints[1]
+                             + c[2][ax] * ints[2])
+    return np.array([math.fsum(p) for p in parts])
+
+
+def _kernel_sequences(params, T):
+    """Parity +1, parity -1, a kick train and a non-collinear random case."""
+    return [st.build_mach_zehnder(params, T),
+            st.build_butterfly(params, T),
+            st.build_cab_kicktrain(params, T, 8),
+            st.random_closed_sequence(np.random.default_rng(7), params, T,
+                                      collinear=False)]
+
+
+class TestTrigKernel:
+    # zero in the middle, both branches, more omegas than one kernel block
+    GRID = np.concatenate([np.geomspace(1e-3, 1e5, 300), [0.0],
+                           np.linspace(1e5, 0.5, 299)])
+
+    def test_grid_rows_equal_single_omega_calls_bitwise(self, params, T):
+        for seq in _kernel_sequences(params, T):
+            pd = st.path_difference(seq)
+            ac, a_s = pd.trig_moments(self.GRID)
+            assert ac.shape == a_s.shape == (self.GRID.size, 3)
+            for k, w in enumerate(self.GRID):
+                assert ac[k].tobytes() == pd.moment_trig("cos", w).tobytes()
+                assert a_s[k].tobytes() == pd.moment_trig("sin", w).tobytes()
+                c1, s1 = st.transfer(seq, w)
+                assert (c1.tobytes(), s1.tobytes()) == (ac[k].tobytes(),
+                                                        a_s[k].tobytes())
+
+    def test_equals_scalar_loop_bitwise(self, params, T):
+        # same arithmetic as the loop, so equal, not merely close; the
+        # vector sums add terms the loop's early stop skipped, all below
+        # half an ulp of the running sum
+        grid = np.concatenate([np.geomspace(1e-6, 1e5, 120),
+                               [1e-300, 4.99, 5.0, 5.01]])
+        for seq in _kernel_sequences(params, T)[2:]:
+            pd = st.path_difference(seq)
+            ac, a_s = pd.trig_moments(grid)
+            for k, w in enumerate(grid):
+                assert ac[k].tobytes() == _scalar_trig(pd, "cos", w).tobytes()
+                assert a_s[k].tobytes() == _scalar_trig(pd, "sin", w).tobytes()
+
+    def test_zero_omega_and_parity_zeros_are_literal(self, params, T):
+        mz, fly, train, _ = (st.path_difference(s)
+                             for s in _kernel_sequences(params, T))
+        zero = self.GRID == 0.0
+        for pd in (mz, fly, train):
+            ac, a_s = pd.trig_moments(self.GRID)
+            np.testing.assert_array_equal(ac[zero][0], pd.moment_poly(0))
+            assert not a_s[zero].any()
+        assert not mz.trig_moments(self.GRID)[1].any()
+        assert not fly.trig_moments(self.GRID)[0].any()
+
+    def test_tiny_omega_takes_the_series_without_warnings(self, params, T):
+        for seq in _kernel_sequences(params, T)[2:]:
+            pd = st.path_difference(seq)
+            xs, _ = pd.scales()
+            scale = xs * float(pd.end - pd.start)
+            for w in (1e-300, 1e-12):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    ac, a_s = pd.trig_moments([w])
+                # cos(wt) = 1 and sin(wt) = wt to double precision here
+                assert np.max(np.abs(ac[0] - pd.moment_poly(0))) \
+                    <= 1e-15 * scale
+                assert np.max(np.abs(a_s[0] - w * pd.moment_poly(1))) \
+                    <= 1e-15 * w * scale * float(pd.end)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_omega_is_rejected(self, params, T, bad):
+        seq = st.build_mach_zehnder(params, T)
+        pd = st.path_difference(seq)
+        for call in (lambda: pd.trig_moments([1.0, bad]),
+                     lambda: pd.moment_trig("sin", bad),
+                     lambda: st.transfer(seq, bad)):
+            with pytest.raises(st.SequenceError, match="omega"):
+                call()
+
+    def test_negative_omega_is_rejected(self, params, T):
+        pd = st.path_difference(st.build_mach_zehnder(params, T))
+        with pytest.raises(st.SequenceError, match="non-negative"):
+            pd.trig_moments([1.0, -2.0])
+
+    def test_empty_grid(self, params, T):
+        ac, a_s = st.path_difference(
+            st.build_mach_zehnder(params, T)).trig_moments([])
+        assert ac.shape == a_s.shape == (0, 3)
 
 
 class TestKickOrderingInvariance:

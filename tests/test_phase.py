@@ -122,6 +122,29 @@ class TestTimeVaryingInertial:
         assert st.inertial_phase_timevarying(seq, wave) \
             == pytest.approx(st.inertial_phase(seq), rel=1e-14)
 
+    def test_batched_moments_equal_per_frequency_fsum(self, params, T):
+        seq = st.random_closed_sequence(np.random.default_rng(3), params, T,
+                                        collinear=False)
+        pd = st.path_difference(seq)
+        wave = st.Waveform(constant=(0.0, 0.0, 1.1),
+                           cosines=(((0.1, 0.0, 0.4), 17.0),
+                                    ((0.0, 0.2, 0.3), 0.0)),
+                           sines=(((0.0, 0.3, 0.1), 3.0),
+                                  ((0.2, 0.0, 1.0), 4.0e4)))
+        parts = [float(np.dot(wave.constant, pd.moment_poly(0)))]
+        parts += [float(np.dot(a, pd.moment_trig("cos", w)))
+                  for a, w in wave.cosines]
+        parts += [float(np.dot(a, pd.moment_trig("sin", w)))
+                  for a, w in wave.sines]
+        expected = params.m / params.hbar * math.fsum(parts)
+        assert st.inertial_phase_timevarying(seq, wave) == expected
+
+    def test_non_finite_frequency_names_omega(self, params, T):
+        wave = st.Waveform(sines=(((0, 0, 1.0), math.inf),))
+        with pytest.raises(st.SequenceError, match="omega"):
+            st.inertial_phase_timevarying(st.build_mach_zehnder(params, T),
+                                          wave)
+
     def test_rejects_bare_callable(self, params, T):
         with pytest.raises(UnsupportedWaveform):
             st.inertial_phase_timevarying(
@@ -138,6 +161,24 @@ class TestFourier:
         seq = st.build_mach_zehnder(params, T)
         coeffs = [((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))] * 5
         assert st.fourier_phase(seq, coeffs) == 0.0
+
+    def test_batched_harmonics_equal_per_frequency_fsum(self, params, T):
+        rng = np.random.default_rng(5)
+        for seq in (st.build_cab_kicktrain(params, T, 4),
+                    st.build_butterfly(params, T),
+                    st.random_closed_sequence(rng, params, T)):
+            pd = st.path_difference(seq)
+            coeffs = [(tuple(rng.normal(size=3)),
+                       None if j % 3 == 0 else tuple(rng.normal(size=3)))
+                      for j in range(40)]
+            parts = []
+            for j, (ac, a_s) in enumerate(coeffs):
+                w = j * math.pi / float(T)
+                parts.append(float(np.dot(ac, pd.moment_trig("cos", w))))
+                if a_s is not None:
+                    parts.append(float(np.dot(a_s, pd.moment_trig("sin", w))))
+            expected = params.m / params.hbar * math.fsum(parts)
+            assert st.fourier_phase(seq, coeffs) == expected
 
     def test_step_function_series_vs_quadrature(self, params, T):
         # g(t) = G k_hat for t > 0, zero before; series truncated at j = 50

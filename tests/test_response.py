@@ -140,6 +140,14 @@ class TestResponseCurve:
         crossings = np.sum(np.sign(vals[:-1]) != np.sign(vals[1:]))
         assert crossings >= 1
 
+    @pytest.mark.parametrize("bounds, field", [
+        ((1.0, float("inf")), "omega_max"),
+        ((float("nan"), 5.0), "omega_min")])
+    def test_non_finite_grid_bound_names_field(self, params, T, bounds,
+                                               field):
+        with pytest.raises(SequenceError, match=field):
+            st.response_curve(st.build_mach_zehnder(params, T), *bounds, 10)
+
     def test_two_point_curve(self, params, T):
         curves = st.response_curve(st.build_mach_zehnder(params, T),
                                    1.0, 10.0, 2)
