@@ -6,9 +6,13 @@ coefficients are exact rationals: doubles embed exactly into Fraction, so
 cancellations that hold algebraically (closure, mirror symmetries, the
 vanishing area of an antisymmetric separation) come out as literal zeros.
 
-Each arm is integrated once per sequence (`arm_trajectories` and
-`path_difference` are cached); closure, symmetry and every phase term
-read those trajectories through the public methods defined here.
+Each sequence gets one `SequenceAnalysis`, built on first use and kept
+on the sequence instance for its lifetime: both arm trajectories, their
+difference and every exact or per-piece result the phase and response
+layers read (kinetic sum, mirror symmetries, scales, collinearity, the
+rectified area, the rotation moments). `arm_trajectories` and
+`path_difference` read from it, so each arm is integrated once per
+sequence instance and a repeated query hashes nothing.
 
 Weighted integrals of the arm separation are evaluated per segment in
 closed form. Polynomial weights stay in rational arithmetic. Cos/sin
@@ -24,7 +28,8 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +50,8 @@ _NPOW = 2 * _SERIES_TERMS + 2
 # (omega, piece) pairs per kernel pass: a block holds max(1, this // pieces)
 # omegas, which bounds the temporaries
 _TRIG_PAIRS = 4096
+# tolerance for deciding that the separation is collinear with k_hat
+_COLLINEAR_RTOL = 1e-12
 
 
 def _fvec(values) -> FVec:
@@ -186,7 +193,14 @@ class PiecewiseTrajectory:
         ti = np.asarray(t, dtype=float)[:, None]
         c = self._fpos[i]
         v = self._fvel[i]
-        return c[0] + ti * (c[1] + ti * c[2]), v[0] + ti * v[1]
+        # Horner in place: c0 + t (c1 + t c2) and v0 + t v1, bit for bit
+        pos = ti * c[2]
+        pos += c[1]
+        pos *= ti
+        pos += c[0]
+        vel = ti * v[1]
+        vel += v[0]
+        return pos, vel
 
     def piece_index(self, t: Fraction) -> int:
         return _locate(self.times, Fraction(t))
@@ -305,6 +319,7 @@ class PathDifference(PiecewiseTrajectory):
                  end_velocity: FVec):
         super().__init__(pieces, end_position, end_velocity)
         self._poly: dict[int, FVec] = {}
+        self._fpoly: dict[int, np.ndarray] = {}
 
     def separation(self, t) -> np.ndarray:
         t = Fraction(t)
@@ -319,17 +334,24 @@ class PathDifference(PiecewiseTrajectory):
         return super().sample(t)[0]
 
     def is_zero(self) -> bool:
+        """True when dx(t) vanishes identically (exact, computed once)."""
+        return self._zero
+
+    @cached_property
+    def _zero(self) -> bool:
         return all(c == _ZERO3 for p in self.pieces for c in p.pos)
 
     def scales(self) -> tuple[float, float]:
-        """Rough magnitude of the separation and its velocity (for tolerances)."""
-        xs = vs = 0.0
-        for i, p in enumerate(self.pieces):
-            c = self._fpos[i]
-            tm = max(abs(float(p.t0)), abs(float(p.t1)))
-            xs = max(xs, float(np.max(
-                np.abs(c[0]) + tm * np.abs(c[1]) + tm * tm * np.abs(c[2]))))
-            vs = max(vs, float(np.max(np.abs(c[1]) + 2 * tm * np.abs(c[2]))))
+        """Rough magnitude of the separation and its velocity (for
+        tolerances; computed once)."""
+        return self._scales
+
+    @cached_property
+    def _scales(self) -> tuple[float, float]:
+        c = np.abs(self._fpos)
+        tm = self._tmax[:, None]
+        xs = float(np.max(c[:, 0] + tm * c[:, 1] + (tm * tm) * c[:, 2]))
+        vs = float(np.max(c[:, 1] + 2 * tm * c[:, 2]))
         return xs, vs
 
     def moment_poly_exact(self, p: int = 0) -> FVec:
@@ -345,7 +367,40 @@ class PathDifference(PiecewiseTrajectory):
         return total
 
     def moment_poly(self, p: int = 0) -> np.ndarray:
-        return _float3(self.moment_poly_exact(p))
+        """moment_poly_exact(p) rounded to doubles (a fresh array; the
+        rounding is done once per p)."""
+        value = self._fpoly.get(p)
+        if value is None:
+            value = self._fpoly[p] = _float3(self.moment_poly_exact(p))
+        return value.copy()
+
+    def rectified_area(self, direction) -> float:
+        """int |dx(t) . direction| dt over the window.
+
+        Each quadratic piece splits at its real roots, so the integral of
+        the absolute value is exact up to the usual floating-point rounding.
+        """
+        parts = []
+        for i, piece in enumerate(self.pieces):
+            c = self._fpos[i] @ direction  # scalar quadratic (c0, c1, c2)
+            t0, t1 = float(piece.t0), float(piece.t1)
+            cuts = [t0]
+            for r in _quad_roots(c[2], c[1], c[0]):
+                if t0 < r < t1:
+                    cuts.append(r)
+            cuts.append(t1)
+            cuts.sort()
+            for u, w in zip(cuts, cuts[1:]):
+                parts.append(abs(_poly_defint(c, u, w)))
+        return math.fsum(parts)
+
+    def collinear_with(self, direction) -> bool:
+        """True when every position coefficient of every piece is parallel
+        to the unit vector ``direction`` (to a relative 1e-12)."""
+        c = self._fpos.reshape(-1, 3)
+        norms = np.linalg.norm(c, axis=1)
+        off = np.linalg.norm(np.cross(c, direction), axis=1)
+        return not np.any((norms != 0.0) & (off > _COLLINEAR_RTOL * norms))
 
     def moment_trig(self, kind: str, omega: float) -> np.ndarray:
         """Integral of cos(omega t) or sin(omega t) times dx(t) dt: one row
@@ -471,22 +526,136 @@ def mirror_velocity_equal(ta: PiecewiseTrajectory, tb: PiecewiseTrajectory,
     return _mirrored(ta, tb, "vel", sign)
 
 
-@lru_cache(maxsize=128)
-def _trajectories(seq: InterferometerSequence):
-    E = seq.horizon
-    return (integrate_arm(seq.arm_a, seq.params, E),
-            integrate_arm(seq.arm_b, seq.params, E))
+class CacheInfo(NamedTuple):
+    """Analysis-object lookups: ``hits`` found one on the sequence,
+    ``misses`` built it."""
+
+    hits: int
+    misses: int
+
+
+class SequenceAnalysis:
+    """The exact and per-piece results of one sequence, each computed at
+    most once.
+
+    Built by `analysis` on a sequence's first query and kept on that
+    instance for its lifetime. Construction integrates both arms and
+    merges them into the `PathDifference`; every other result is computed
+    on first use and kept. Nothing here depends on a caller's tolerance,
+    g, rotation rate, frequency or waveform, and nothing here warns or
+    raises: that logic stays with the per-call functions that read it.
+    """
+
+    def __init__(self, seq: InterferometerSequence):
+        E = seq.horizon
+        self.trajectories = (integrate_arm(seq.arm_a, seq.params, E),
+                             integrate_arm(seq.arm_b, seq.params, E))
+        self.path_difference = _merge(*self.trajectories)
+        self.span = float(2 * E)    # window length as a double
+        self._arms = seq.arms()
+        self._k_hat = seq.params.k_hat
+
+    @cached_property
+    def closure_defect(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exact end (dx, dv) rounded to doubles; read-only arrays."""
+        pd = self.path_difference
+        return (_readonly(_float3(pd.end_position)),
+                _readonly(_float3(pd.end_velocity)))
+
+    @cached_property
+    def kinetic_integral(self) -> float:
+        """int (v_b^2 - v_a^2) dt, exact and then rounded."""
+        ta, tb = self.trajectories
+        return float(speed_squared_integral_exact(tb)
+                     - speed_squared_integral_exact(ta))
+
+    @cached_property
+    def velocity_mirrors(self) -> tuple[bool, bool]:
+        """(v_a(t) == v_b(-t), v_a(t) == -v_b(-t)), exact."""
+        ta, tb = self.trajectories
+        return (mirror_velocity_equal(ta, tb, +1),
+                mirror_velocity_equal(ta, tb, -1))
+
+    @cached_property
+    def boundary_products(self) -> tuple[float | None, float | None]:
+        """The exact products behind the separation phase, rounded:
+        v0_b . x0_b - v0_a . x0_a, and dv(first event) . dx(end) when the
+        arms end apart. None where a product is zero or absent."""
+        arm_a, arm_b = self._arms
+        start = dot_exact(arm_b.v0, arm_b.x0) - dot_exact(arm_a.v0, arm_a.x0)
+        pd = self.path_difference
+        events = arm_a.event_times() + arm_b.event_times()
+        end = None
+        if any(pd.end_position) and events:
+            end = float(_fv_dot(pd.velocity_exact(min(events)),
+                                pd.end_position))
+        return (float(start) if start else None), end
+
+    @cached_property
+    def collinear(self) -> bool:
+        """The separation moves along k_hat only (see
+        `PathDifference.collinear_with`)."""
+        return self.path_difference.collinear_with(self._k_hat)
+
+    @cached_property
+    def abs_area(self) -> float:
+        """Rectified area int |dx(t) . k_hat| dt (m s)."""
+        return self.path_difference.rectified_area(self._k_hat)
+
+    @cached_property
+    def self_cross(self) -> np.ndarray:
+        """int (x_a x v_a - x_b x v_b) dt, exact and then rounded;
+        read-only."""
+        ta, tb = self.trajectories
+        return _readonly(np.array([float(ca - cb) for ca, cb in zip(
+            ta.self_cross_moment(), tb.self_cross_moment())]))
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+_lookups = [0, 0]   # analysis-object hits, misses
+
+
+def analysis(seq: InterferometerSequence) -> SequenceAnalysis:
+    """The sequence's `SequenceAnalysis`, built on the first call and kept
+    on the instance (frozen sequences never change, and nothing is hashed
+    to find it)."""
+    found = seq.__dict__.get("_analysis")
+    if found is None:
+        _lookups[1] += 1
+        found = SequenceAnalysis(seq)
+        object.__setattr__(seq, "_analysis", found)
+    else:
+        _lookups[0] += 1
+    return found
 
 
 def arm_trajectories(seq: InterferometerSequence):
-    """Both arms' exact trajectories over the sequence window (cached)."""
-    return _trajectories(seq)
+    """Both arms' exact trajectories over the sequence window (kept on
+    the sequence's analysis object)."""
+    return analysis(seq).trajectories
 
 
-@lru_cache(maxsize=128)
 def path_difference(seq: InterferometerSequence) -> PathDifference:
-    """Exact arm separation of a sequence (cached; sequences are frozen)."""
-    ta, tb = _trajectories(seq)
+    """Exact arm separation of a sequence (kept on the sequence's analysis
+    object; ``path_difference.cache_info()`` counts its lookups)."""
+    return analysis(seq).path_difference
+
+
+def _cache_info() -> CacheInfo:
+    return CacheInfo(*_lookups)
+
+
+# the functools.lru_cache name, which tracing tools already read
+path_difference.cache_info = _cache_info
+
+
+def _merge(ta: PiecewiseTrajectory,
+           tb: PiecewiseTrajectory) -> PathDifference:
+    """dx = x_a - x_b on the union of both breakpoint grids."""
     grid = sorted(set(ta.times) | set(tb.times))
     pieces = []
     for u, w in zip(grid, grid[1:]):
@@ -565,6 +734,29 @@ def _float_power_moments(t0: Fraction, t1: Fraction,
         den *= step_d
         out.append((hi - lo) / (k * den))
     return out
+
+
+def _quad_roots(a2: float, a1: float, a0: float) -> list[float]:
+    """Real roots of a2 t^2 + a1 t + a0, numerically stable."""
+    if a2 == 0.0:
+        if a1 == 0.0:
+            return []
+        return [-a0 / a1]
+    disc = a1 * a1 - 4.0 * a2 * a0
+    if disc < 0.0:
+        return []
+    sq = math.sqrt(disc)
+    q = -0.5 * (a1 + math.copysign(sq, a1)) if a1 != 0.0 else 0.5 * sq
+    if q == 0.0:
+        return [0.0]  # double root at the origin
+    return sorted({q / a2, a0 / q})
+
+
+def _poly_defint(c, u: float, w: float) -> float:
+    """Definite integral of c0 + c1 t + c2 t^2 over [u, w]."""
+    def F(t):
+        return t * (c[0] + t * (c[1] / 2.0 + t * c[2] / 3.0))
+    return F(w) - F(u)
 
 
 def _closed_integrals(w, a, b, sa, ca, sb, cb, want_cos: bool,

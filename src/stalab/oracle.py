@@ -47,10 +47,19 @@ class OracleConfig:
                                 "and at least 2 grid points")
 
 
-def _simpson(values: np.ndarray, dx: float) -> float:
+# Simpson nodes per block of pieces in quadrature_transfer: a block holds
+# max(1, this // nodes per piece) pieces, which bounds the temporaries
+_BLOCK_NODES = 1 << 16
+
+
+def _simpson(values: np.ndarray, dx):
+    """Composite Simpson along the last axis with step dx (broadcast
+    against the other axes). The nodes axis is innermost, so each sum is
+    numpy's pairwise one."""
     v = values.astype(np.longdouble)  # keep the big cancelling sums honest
-    acc = v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-1:2].sum()
-    return float(acc * dx / 3.0)
+    acc = (v[..., 0] + v[..., -1] + 4.0 * v[..., 1:-1:2].sum(axis=-1)
+           + 2.0 * v[..., 2:-1:2].sum(axis=-1))
+    return (acc * dx / 3.0).astype(float)
 
 
 def _g_of_t(g, seq: InterferometerSequence):
@@ -137,19 +146,30 @@ def quadrature_transfer(seq: InterferometerSequence, omega: float,
     eps = float(np.finfo(float).eps)
     floor = max(cfg.abs_tol, (cfg.floor_rel + 64.0 * eps) * xs * span, 1e-300)
 
+    t0s = np.array([float(piece.t0) for piece in pd.pieces])
+    t1s = np.array([float(piece.t1) for piece in pd.pieces])
+    # steps from the exact widths, as in action_phase
+    widths = np.array([float(piece.t1 - piece.t0) for piece in pd.pieces])
+    coeffs = np.array([pd.position_coeffs(i) for i in range(len(pd.pieces))])
+
     def one_pass(n_base: int):
+        n = n_base + n_base % 2
+        rows = max(1, _BLOCK_NODES // (n + 1))
         ac = np.zeros(3)
         a_s = np.zeros(3)
-        for piece in pd.pieces:
-            t0, t1 = float(piece.t0), float(piece.t1)
-            n = n_base + n_base % 2
-            t = np.linspace(t0, t1, n + 1)
-            dx = pd.sample(t)
-            cw = np.cos(omega * t)[:, None] * dx
-            sw = np.sin(omega * t)[:, None] * dx
-            h = float(piece.t1 - piece.t0) / n
-            ac += [_simpson(cw[:, i], h) for i in range(3)]
-            a_s += [_simpson(sw[:, i], h) for i in range(3)]
+        for start in range(0, len(pd.pieces), rows):
+            block = slice(start, start + rows)
+            # (pieces, 1, nodes) times; each piece's own polynomial gives
+            # dx, also at its end points: (pieces, 3, nodes)
+            t = np.linspace(t0s[block], t1s[block], n + 1, axis=1)[:, None]
+            c = coeffs[block, :, :, None]
+            dx = c[:, 0] + t * (c[:, 1] + t * c[:, 2])
+            wt = omega * t
+            h = (widths[block] / n)[:, None]
+            for cw, sw in zip(_simpson(np.cos(wt) * dx, h),
+                              _simpson(np.sin(wt) * dx, h)):
+                ac += cw
+                a_s += sw
         return ac, a_s
 
     # oscillation-aware floor: every piece starts with enough nodes per
@@ -353,7 +373,7 @@ def random_closed_sequence(rng: np.random.Generator, params: PhysicalParams,
                                 segments=tuple(segments)))
 
     # every event lies in [-T, T], so each draft's window is [-T, T]; the
-    # drafts are integrated uncached so they never enter the trajectory cache
+    # drafts are integrated uncached, so no analysis object is built
     ta = kinematics.integrate_arm(arms[0], params, T)
 
     def end_difference(arm_b: ArmTimeline):
@@ -410,10 +430,10 @@ def random_mirrored_sequence(rng: np.random.Generator,
             ]
 
     def arm_a_trajectory():
+        # every event lies in [-T, T], so the window is [-T, T]; the drafts
+        # are integrated uncached, one arm each
         arm = ArmTimeline("a", kicks=tuple(kicks), segments=tuple(segments))
-        probe = InterferometerSequence(params, T, arm, ArmTimeline("b"),
-                                       name="probe")
-        return arm, kinematics.arm_trajectories(probe)[0]
+        return arm, kinematics.integrate_arm(arm, params, T)
 
     if kind == "ii":
         # closure needs arm a's own displacement to vanish

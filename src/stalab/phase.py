@@ -218,29 +218,24 @@ def separation_phase(seq: InterferometerSequence, *,
     launch-point separation. Raises NotInterfering when the final
     velocities differ, since no far-field fringe forms.
     """
-    pd = kinematics.path_difference(seq)
+    found = kinematics.analysis(seq)
     m_over_h = seq.params.m / seq.params.hbar
 
-    _, vscale = pd.scales()
+    _, vscale = found.path_difference.scales()
     vscale = max(vscale, float(np.linalg.norm(seq.params.recoil_velocity)))
-    if any(pd.end_velocity) and float(np.linalg.norm(pd.velocity(pd.end))) \
-            > rel_tol * vscale:
+    _, dv_end = found.closure_defect
+    if dv_end.any() and float(np.linalg.norm(dv_end)) > rel_tol * vscale:
         raise NotInterfering(
             "final arm velocities differ; no stationary far-field fringe")
 
     terms = []
-    start = (kinematics.dot_exact(seq.arm_b.v0, seq.arm_b.x0)
-             - kinematics.dot_exact(seq.arm_a.v0, seq.arm_a.x0))
-    if start:
-        terms.append(m_over_h * float(start))
-
-    events = [t for arm in seq.arms() for t in arm.event_times()]
-    if any(pd.end_position) and events:
-        dv_first = pd.velocity_exact(min(events))
+    start, end = found.boundary_products
+    if start is not None:
+        terms.append(m_over_h * start)
+    if end is not None:
         # k_e . dx_i with dx_i the initial separation of the points that
         # finally overlap: dx_i = -(final separation) for a common launch.
-        terms.append(-m_over_h * float(kinematics.dot_exact(
-            dv_first, pd.end_position)))
+        terms.append(-m_over_h * end)
     return math.fsum(terms) if terms else 0.0
 
 
@@ -256,10 +251,8 @@ def kinetic_phase(seq: InterferometerSequence) -> float:
     Mirror-symmetric sequences cancel this term identically; the rational
     arithmetic returns a literal zero in that case.
     """
-    ta, tb = kinematics.arm_trajectories(seq)
-    diff = (kinematics.speed_squared_integral_exact(tb)
-            - kinematics.speed_squared_integral_exact(ta))
-    return 0.5 * seq.params.m / seq.params.hbar * float(diff)
+    diff = kinematics.analysis(seq).kinetic_integral
+    return 0.5 * seq.params.m / seq.params.hbar * diff
 
 
 def inertial_phase(seq: InterferometerSequence, g=None) -> float:
@@ -404,12 +397,9 @@ def sagnac_phase(seq: InterferometerSequence, omega=None, *, g=None) -> float:
         warnings.warn("Omega*T is not small; first-order rotation formula "
                       "loses accuracy", NonPerturbativeRotationWarning,
                       stacklevel=2)
-    ta, tb = kinematics.arm_trajectories(seq)
-    pd = kinematics.path_difference(seq)
-    self_term = np.array([float(ca - cb) for ca, cb in zip(
-        ta.self_cross_moment(), tb.self_cross_moment())])
+    self_term = kinematics.analysis(seq).self_cross
     area = kinematics.space_time_area(seq)
-    tmom = pd.moment_poly(1)
+    tmom = kinematics.first_time_moment(seq)
     v0 = np.asarray(seq.v_i) + g * float(seq.T)
     enclosed = self_term + 2.0 * np.cross(area, v0) + 2.0 * np.cross(tmom, g)
     return seq.params.m / seq.params.hbar * float(np.dot(omega_v, enclosed))

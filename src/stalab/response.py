@@ -18,25 +18,11 @@ from . import kinematics
 from .errors import DegenerateSequence, SequenceError, ZeroArea
 from .sequence import InterferometerSequence
 
-# tolerance for deciding that the separation is collinear with k_hat
-_COLLINEAR_RTOL = 1e-12
-
 
 def transfer(seq: InterferometerSequence, omega: float):
     """Quadrature areas (Ac, As) at angular frequency omega (rad/s)."""
     ac, a_s = kinematics.path_difference(seq).trig_moments((omega,))
     return ac[0], a_s[0]
-
-
-def _is_collinear(seq: InterferometerSequence) -> bool:
-    khat = seq.params.k_hat
-    pd = kinematics.path_difference(seq)
-    for i in range(len(pd.pieces)):
-        for c in pd.position_coeffs(i):
-            n = float(np.linalg.norm(c))
-            if n and float(np.linalg.norm(np.cross(c, khat))) > _COLLINEAR_RTOL * n:
-                return False
-    return True
 
 
 def _project(khat: np.ndarray, vec: np.ndarray, collinear: bool) -> float:
@@ -49,47 +35,10 @@ def abs_area(seq: InterferometerSequence) -> float:
     """Rectified space-time area int |dx(t) . k_hat| dt (m s).
 
     Each quadratic piece splits at its real roots so the integral of the
-    absolute value is exact up to the usual floating-point rounding.
+    absolute value is exact up to the usual floating-point rounding
+    (computed once per sequence).
     """
-    pd = kinematics.path_difference(seq)
-    khat = seq.params.k_hat
-    parts = []
-    for i, piece in enumerate(pd.pieces):
-        c = pd.position_coeffs(i) @ khat  # scalar quadratic (c0, c1, c2)
-        t0, t1 = float(piece.t0), float(piece.t1)
-        cuts = [t0]
-        for r in _quad_roots(c[2], c[1], c[0]):
-            if t0 < r < t1:
-                cuts.append(r)
-        cuts.append(t1)
-        cuts.sort()
-        for u, w in zip(cuts, cuts[1:]):
-            val = _poly_defint(c, u, w)
-            parts.append(abs(val))
-    return math.fsum(parts)
-
-
-def _quad_roots(a2: float, a1: float, a0: float) -> list[float]:
-    """Real roots of a2 t^2 + a1 t + a0, numerically stable."""
-    if a2 == 0.0:
-        if a1 == 0.0:
-            return []
-        return [-a0 / a1]
-    disc = a1 * a1 - 4.0 * a2 * a0
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    q = -0.5 * (a1 + math.copysign(sq, a1)) if a1 != 0.0 else 0.5 * sq
-    if q == 0.0:
-        return [0.0]  # double root at the origin
-    return sorted({q / a2, a0 / q})
-
-
-def _poly_defint(c, u: float, w: float) -> float:
-    """Definite integral of c0 + c1 t + c2 t^2 over [u, w]."""
-    def F(t):
-        return t * (c[0] + t * (c[1] / 2.0 + t * c[2] / 3.0))
-    return F(w) - F(u)
+    return kinematics.analysis(seq).abs_area
 
 
 def sensitivity_R(seq: InterferometerSequence, omega: float) -> float:
@@ -97,7 +46,7 @@ def sensitivity_R(seq: InterferometerSequence, omega: float) -> float:
     area_exact = kinematics.space_time_area_exact(seq)
     if not any(area_exact):
         raise ZeroArea("space-time area is zero; use sensitivity_Rstar")
-    collinear = _is_collinear(seq)
+    collinear = kinematics.analysis(seq).collinear
     khat = seq.params.k_hat
     area = _project(khat, kinematics.space_time_area(seq), collinear)
     ac, _ = transfer(seq, omega)
@@ -106,13 +55,13 @@ def sensitivity_R(seq: InterferometerSequence, omega: float) -> float:
 
 def sensitivity_Rstar(seq: InterferometerSequence, omega: float) -> float:
     """|As(omega)| / int |dx| dt: response of area-free sequences."""
-    pd = kinematics.path_difference(seq)
-    if pd.is_zero():
+    found = kinematics.analysis(seq)
+    if found.path_difference.is_zero():
         raise DegenerateSequence("arm separation is identically zero")
     astar = abs_area(seq)
     if astar == 0.0:
         raise DegenerateSequence("rectified area along k_hat is zero")
-    collinear = _is_collinear(seq)
+    collinear = found.collinear
     _, asin = transfer(seq, omega)
     return abs(_project(seq.params.k_hat, asin, collinear)) / astar
 
@@ -162,8 +111,9 @@ def response_curve(seq: InterferometerSequence, omega_min: float,
                    scale: str = "linear") -> TransferFunctions:
     """Evaluate the transfer functions on a deterministic omega grid."""
     grid = _omega_grid(omega_min, omega_max, points, scale)
-    pd = kinematics.path_difference(seq)
-    collinear = _is_collinear(seq)
+    found = kinematics.analysis(seq)
+    pd = found.path_difference
+    collinear = found.collinear
     khat = seq.params.k_hat
     area_vec = kinematics.space_time_area(seq)
     area_proj = _project(khat, area_vec, collinear)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -90,13 +91,16 @@ class PhysicalParams:
             raise SequenceError("diffraction order n must be an integer >= 1")
         object.__setattr__(self, "n", int(self.n))
 
-    @property
+    @cached_property
     def k_mag(self) -> float:
         return float(np.linalg.norm(self.k))
 
-    @property
+    @cached_property
     def k_hat(self) -> np.ndarray:
-        return np.asarray(self.k) / self.k_mag
+        """Unit beam direction, computed once; one shared read-only array."""
+        khat = np.asarray(self.k) / self.k_mag
+        khat.flags.writeable = False
+        return khat
 
     @property
     def recoil_frequency(self) -> float:
@@ -174,7 +178,7 @@ class AccelSegment:
     def duration(self) -> Fraction:
         return self.t_end - self.t_start
 
-    @property
+    @cached_property
     def cycles(self) -> Fraction | None:
         """Number of lattice cycles spanned, or None if not laser-driven."""
         if self.tau_b is None:
@@ -253,6 +257,11 @@ class InterferometerSequence:
     t = 0 sits at the midpoint of the nominal sequence. g is the constant
     background acceleration (overridable per operation), omega a constant
     rotation rate, v_i the common launch velocity at -T.
+
+    The first query builds the sequence's exact analysis
+    (`kinematics.SequenceAnalysis`: trajectories, path difference and the
+    results derived from them) and keeps it on the instance, outside the
+    dataclass fields, so equality, hashing and repr ignore it.
     """
 
     params: PhysicalParams
@@ -274,7 +283,7 @@ class InterferometerSequence:
                 raise SequenceError(f"{name} must be finite")
             object.__setattr__(self, name, vec)
 
-    @property
+    @cached_property
     def horizon(self) -> Fraction:
         """Half-width E of the integration window [-E, E].
 
@@ -541,9 +550,8 @@ def closure_defect(seq: InterferometerSequence) -> tuple[np.ndarray, np.ndarray]
     """
     from . import kinematics
 
-    pd = kinematics.path_difference(seq)
-    return (np.array([float(c) for c in pd.end_position]),
-            np.array([float(c) for c in pd.end_velocity]))
+    dx, dv = kinematics.analysis(seq).closure_defect
+    return dx.copy(), dv.copy()
 
 
 def is_closed(seq: InterferometerSequence, rel_tol: float = 1e-9) -> bool:
@@ -554,13 +562,12 @@ def is_closed(seq: InterferometerSequence, rel_tol: float = 1e-9) -> bool:
     """
     from . import kinematics
 
-    dx, dv = closure_defect(seq)
+    found = kinematics.analysis(seq)
+    dx, dv = found.closure_defect
     if not dx.any() and not dv.any():
         return True
-    pd = kinematics.path_difference(seq)
-    xs, vs = pd.scales()
-    span = float(2 * seq.horizon)
-    return (np.linalg.norm(dx) <= rel_tol * max(xs, vs * span, 1e-300)
+    xs, vs = found.path_difference.scales()
+    return (np.linalg.norm(dx) <= rel_tol * max(xs, vs * found.span, 1e-300)
             and np.linalg.norm(dv) <= rel_tol * max(vs, 1e-300))
 
 
@@ -573,14 +580,14 @@ def symmetry_class(seq: InterferometerSequence) -> frozenset[Symmetry]:
     """
     from . import kinematics
 
-    ta, tb = kinematics.arm_trajectories(seq)
+    found = kinematics.analysis(seq)
+    mirror, antimirror = found.velocity_mirrors
     labels = set()
-    if kinematics.mirror_velocity_equal(ta, tb, +1):
+    if mirror:
         labels.add(Symmetry.VELOCITY_MIRROR)
-    if kinematics.mirror_velocity_equal(ta, tb, -1):
+    if antimirror:
         labels.add(Symmetry.VELOCITY_ANTIMIRROR)
-    pd = kinematics.path_difference(seq)
-    parity = pd.mirror_parity()
+    parity = found.path_difference.mirror_parity()
     if parity == +1:
         labels.add(Symmetry.SEPARATION_SYMMETRIC)
     elif parity == -1:

@@ -304,6 +304,41 @@ class TestTrigKernel:
         assert ac.shape == a_s.shape == (0, 3)
 
 
+class TestPerPieceResults:
+    """Vectorised per-piece results against the loops they replaced."""
+
+    def test_scales_equal_the_piece_loop(self, params, T):
+        for seq in _kernel_sequences(params, T):
+            pd = st.path_difference(seq)
+            xs = vs = 0.0
+            for i, p in enumerate(pd.pieces):
+                c = pd.position_coeffs(i)
+                tm = max(abs(float(p.t0)), abs(float(p.t1)))
+                xs = max(xs, float(np.max(np.abs(c[0]) + tm * np.abs(c[1])
+                                          + tm * tm * np.abs(c[2]))))
+                vs = max(vs, float(np.max(np.abs(c[1])
+                                          + 2 * tm * np.abs(c[2]))))
+            assert pd.scales() == (xs, vs)
+
+    def test_collinearity_equals_the_coefficient_loop(self, params, T):
+        seqs = _kernel_sequences(params, T) + [
+            st.random_closed_sequence(np.random.default_rng(seed), params, T,
+                                      collinear=bool(seed % 2))
+            for seed in range(6)]
+        seen = set()
+        for seq in seqs:
+            pd = st.path_difference(seq)
+            khat = params.k_hat
+            loop = all(
+                not np.linalg.norm(c)
+                or np.linalg.norm(np.cross(c, khat))
+                <= 1e-12 * np.linalg.norm(c)
+                for i in range(len(pd.pieces)) for c in pd.position_coeffs(i))
+            assert pd.collinear_with(khat) == loop
+            seen.add(loop)
+        assert seen == {True, False}
+
+
 class TestKickOrderingInvariance:
     def test_permuted_insertion_same_trajectory(self, params, T, rng):
         kicks = [st.ImpulseKick(T * Fraction(k, 7), (0, 0, float(v)))

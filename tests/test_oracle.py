@@ -1,6 +1,7 @@
 """Brute-force validators: action integration, oscillatory quadrature,
 lattice representation equivalence, rotation Lagrangian."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +47,49 @@ class TestActionPhase:
             st.action_phase(seq, g=wave, cfg=cfg)
 
 
+def _simpson_1d(values, dx):
+    v = values.astype(np.longdouble)
+    acc = v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-1:2].sum()
+    return float(acc * dx / 3.0)
+
+
+def _per_piece_quadrature(pd, omega):
+    """quadrature_transfer as it was before its passes were vectorised:
+    per piece, dx sampled through pd.sample, one Simpson sum per axis;
+    the same node floor, doubling and default tolerances."""
+    cfg = st.OracleConfig()
+    xs, _ = pd.scales()
+    span = float(pd.end - pd.start)
+    floor = (cfg.floor_rel + 64.0 * np.finfo(float).eps) * xs * span
+
+    def one_pass(n_base):
+        n = n_base + n_base % 2
+        ac, a_s = np.zeros(3), np.zeros(3)
+        for piece in pd.pieces:
+            t = np.linspace(float(piece.t0), float(piece.t1), n + 1)
+            dx = pd.sample(t)
+            h = float(piece.t1 - piece.t0) / n
+            ac += [_simpson_1d(np.cos(omega * t) * dx[:, i], h)
+                   for i in range(3)]
+            a_s += [_simpson_1d(np.sin(omega * t) * dx[:, i], h)
+                    for i in range(3)]
+        return ac, a_s
+
+    span_max = max(float(p.t1 - p.t0) for p in pd.pieces)
+    n = max(64, int(cfg.nodes_per_period * omega * span_max
+                    / (2.0 * math.pi)) + 2)
+    prev = one_pass(n)
+    while True:
+        n *= 2
+        cur = one_pass(n)
+        err = max(np.max(np.abs(cur[0] - prev[0])),
+                  np.max(np.abs(cur[1] - prev[1])))
+        scale = max(np.max(np.abs(cur[0])), np.max(np.abs(cur[1])))
+        if err <= max(floor, cfg.rel_tol * scale):
+            return cur
+        prev = cur
+
+
 class TestQuadratureTransfer:
     def test_matches_closed_form_on_mz(self, params, T):
         seq = st.build_mach_zehnder(params, T)
@@ -56,6 +100,25 @@ class TestQuadratureTransfer:
             ac, _ = st.transfer(seq, w)
             qc, _ = st.quadrature_transfer(seq, w)
             assert np.max(np.abs(ac - qc)) <= 1e-8 * np.max(np.abs(ac)) + floor
+
+    def test_matches_per_piece_loop(self, params, T):
+        # the vectorised passes against one Simpson pass per piece that
+        # samples dx through pd.sample; they differ only in the polynomial
+        # used at a breakpoint (a few eps * xs per node, weighted h/3) and
+        # in the long-double summation order, which can move the rounded
+        # result by an ulp
+        seqs = (st.build_cab(params, T, 8), st.build_cab_kicktrain(params, T, 4),
+                st.random_closed_sequence(np.random.default_rng(3), params, T,
+                                          collinear=False))
+        for seq in seqs:
+            pd = st.path_difference(seq)
+            xs, _ = pd.scales()
+            floor = 1e-17 * xs * float(pd.end - pd.start)
+            for w in (0.0, 37.0, 3000.0):
+                got = st.quadrature_transfer(seq, w)
+                for q, ref in zip(got, _per_piece_quadrature(pd, w)):
+                    tol = 4 * np.finfo(float).eps * np.max(np.abs(ref))
+                    assert np.max(np.abs(q - ref)) <= tol + floor
 
     def test_zero_frequency_is_area(self, params, T):
         seq = st.build_cab(params, T, 4, T_r=0)
@@ -196,13 +259,13 @@ class TestRandomClosedSequence:
             return original(arm, *args, **kwargs)
 
         monkeypatch.setattr(kinematics, "integrate_arm", counting)
-        before = kinematics._trajectories.cache_info()
+        before = kinematics.path_difference.cache_info()
         st.random_closed_sequence(np.random.default_rng(11), params, T)
-        after = kinematics._trajectories.cache_info()
+        after = kinematics.path_difference.cache_info()
         # arm a once, arm b once per correction kick
         assert labels == ["a", "b", "b"]
-        assert (after.hits, after.misses, after.currsize) \
-            == (before.hits, before.misses, before.currsize)
+        # no analysis object was built or looked up
+        assert after == before
 
     def test_same_rng_same_sequence(self, params, T):
         # seeded draws feed benchmarks and property suites; the corrections
@@ -214,3 +277,39 @@ class TestRandomClosedSequence:
         assert dv_p == (0.0, 0.0, -18.208362556804413)
         assert seq == st.random_closed_sequence(np.random.default_rng(11),
                                                 params, T)
+
+
+class TestRandomMirroredSequence:
+    @pytest.mark.parametrize("kind,drafts", [("i", 2), ("ii", 3)])
+    def test_drafts_integrated_uncached(self, params, T, monkeypatch, kind,
+                                        drafts):
+        from stalab import kinematics
+
+        labels = []
+        original = kinematics.integrate_arm
+
+        def counting(arm, *args, **kwargs):
+            labels.append(arm.label)
+            return original(arm, *args, **kwargs)
+
+        monkeypatch.setattr(kinematics, "integrate_arm", counting)
+        before = kinematics.path_difference.cache_info()
+        st.random_mirrored_sequence(np.random.default_rng(11), params, T,
+                                    kind)
+        # arm a once per draft, arm b never; no analysis object
+        assert labels == ["a"] * drafts
+        assert kinematics.path_difference.cache_info() == before
+
+    def test_same_rng_same_sequence(self, params, T):
+        # the closing kicks this generator has always drawn for seed 11
+        draws = {kind: st.random_mirrored_sequence(
+            np.random.default_rng(11), params, T, kind) for kind in ("i", "ii")}
+        assert [(k.t, k.dv[2]) for k in draws["i"].arm_a.kicks[-2:]] == [
+            (Fraction(19, 336), 0.005639754235744476),
+            (Fraction(1, 10), -0.006999075412750244)]
+        assert [(k.t, k.dv[2]) for k in draws["ii"].arm_a.kicks[-2:]] == [
+            (Fraction(41, 420), -0.2174151263207818),
+            (Fraction(1, 10), 0.21041605090803156)]
+        for kind, seq in draws.items():
+            assert seq == st.random_mirrored_sequence(
+                np.random.default_rng(11), params, T, kind)

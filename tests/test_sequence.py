@@ -20,6 +20,26 @@ class TestPhysicalParams:
             params.recoil_velocity,
             2 * params.n * params.hbar * np.asarray(params.k) / params.m)
 
+    def test_k_hat_is_one_read_only_array(self, params):
+        khat = params.k_hat
+        assert params.k_hat is khat
+        np.testing.assert_array_equal(khat, (0.0, 0.0, 1.0))
+        with pytest.raises(ValueError):
+            khat[0] = 1.0
+        with pytest.raises(ValueError):
+            khat *= 2.0
+        np.testing.assert_array_equal(params.k_hat, (0.0, 0.0, 1.0))
+
+    def test_equality_and_hash_ignore_derived_values(self):
+        used = st.PhysicalParams(m=1e-25, k=(3e6, 0, 4e6), n=2)
+        fresh = st.PhysicalParams(m=1e-25, k=(3e6, 0, 4e6), n=2)
+        before = (hash(used), repr(used))
+        assert (used.k_mag, tuple(used.k_hat)) == (5e6, (0.6, 0.0, 0.8))
+        assert (hash(used), repr(used)) == before
+        assert used == fresh and hash(used) == hash(fresh)
+        assert hash(used) == hash((used.m, used.k, used.n, used.hbar))
+        assert used != st.PhysicalParams(m=1e-25, k=(3e6, 0, 4e6), n=1)
+
     def test_validation(self):
         with pytest.raises(SequenceError):
             st.PhysicalParams(m=-1.0, k=(0, 0, 1e7))
