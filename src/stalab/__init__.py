@@ -9,8 +9,8 @@ from .errors import (DegenerateSequence, InconsistentBlochCount,
                      ZeroArea, ZeroAreaKickWarning)
 from .kinematics import (PathDifference, PiecewiseTrajectory,
                          arm_trajectories, first_time_moment, integrate_arm,
-                         integrate_polynomial_moment, path_difference,
-                         space_time_area, space_time_area_exact)
+                         path_difference, space_time_area,
+                         space_time_area_exact)
 from .oracle import (EquivalenceReport, OracleConfig, action_phase,
                      kicktrain_equivalence, quadrature_transfer,
                      random_closed_sequence, random_mirrored_sequence,

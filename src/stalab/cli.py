@@ -18,13 +18,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kinematics, response, seqfile, validate
+from . import kinematics, response, seqfile
 from .errors import NotInterfering, SequenceFileError, StalabError
 from .phase import total_phase
 from .sequence import (InterferometerSequence, PhysicalParams,
                        build_butterfly, build_cab, build_cab_kicktrain,
                        build_const_accel_recoil, build_mach_zehnder,
-                       build_recoil_triangle)
+                       build_recoil_triangle, parse_time)
 
 PRESETS = ("mz", "cab", "cab-kicktrain", "butterfly", "triangle",
            "const-accel")
@@ -41,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _frac(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_time(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad rational/decimal value {text!r}: {exc}")
 
@@ -206,6 +206,8 @@ def _cmd_trajectory(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import validate
+
     results = validate.run_checks(args.filter)
     lines = [r.line() for r in results]
     failures = [r for r in results if not r.passed]

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SequenceError
-from .sequence import ArmTimeline, InterferometerSequence, PhysicalParams
+from .sequence import ArmTimeline, InterferometerSequence
 
 FVec = tuple[Fraction, Fraction, Fraction]
 
@@ -88,14 +88,17 @@ def _float3(u: FVec) -> np.ndarray:
 class _Piece:
     """One interval [t0, t1) with exact polynomial coefficients in t."""
 
-    __slots__ = ("t0", "t1", "pos", "vel", "nrec")
+    __slots__ = ("t0", "t1", "pos")
 
-    def __init__(self, t0, t1, pos, vel, nrec):
+    def __init__(self, t0, t1, pos):
         self.t0 = t0
         self.t1 = t1
         self.pos = pos      # (c0, c1, c2) FVec coefficients
-        self.vel = vel      # (c0, c1) FVec coefficients
-        self.nrec = nrec    # (c0, c1) Fraction coefficients
+
+    @property
+    def vel(self) -> tuple[FVec, FVec]:
+        """(c0, c1) velocity coefficients, the derivative of ``pos``."""
+        return self.pos[1], _fv_scale(self.pos[2], 2)
 
     def pos_at(self, t: Fraction) -> FVec:
         c0, c1, c2 = self.pos
@@ -236,25 +239,11 @@ def speed_squared_integral_exact(traj: PiecewiseTrajectory) -> Fraction:
     return total
 
 
-def recoil_squared_integral_exact(traj: PiecewiseTrajectory) -> Fraction:
-    """Exact integral of n(t)^2 dt, with n the photon-recoil count."""
-    total = Fraction(0)
-    for p in traj.pieces:
-        c0, c1 = p.nrec
-        quad = (c0 * c0, 2 * c0 * c1, c1 * c1)
-        for deg, q in enumerate(quad):
-            total += q * _power_moment(p.t0, p.t1, deg)
-    return total
-
-
-def integrate_arm(arm: ArmTimeline, params: PhysicalParams,
-                  horizon) -> PiecewiseTrajectory:
+def integrate_arm(arm: ArmTimeline, horizon) -> PiecewiseTrajectory:
     """Integrate kicks and acceleration windows into an exact trajectory.
 
     Kicks apply as instantaneous velocity jumps; a kick at a segment edge
-    acts after the segment closes (left-limit convention). The recoil
-    count n(t) follows dn at kicks and ramps linearly inside laser-driven
-    segments.
+    acts after the segment closes (left-limit convention).
     """
     E = Fraction(horizon)
     breaks = {-E, E}
@@ -265,45 +254,33 @@ def integrate_arm(arm: ArmTimeline, params: PhysicalParams,
     if times[0] < -E or times[-1] > E:
         raise SequenceError("event outside the integration window")
 
-    khat = _fvec(params.k_hat)
-    recoil_speed = Fraction(params.hbar) * Fraction(params.k_mag) / Fraction(params.m)
-
     kicks_at: dict[Fraction, list] = {}
     for k in arm.kicks:
         kicks_at.setdefault(k.t, []).append(k)
 
     x = _fvec(arm.x0)
     v = _fvec(arm.v0)
-    nrec = _fv_dot(_fvec(arm.v0), khat) / recoil_speed
 
     pieces: list[_Piece] = []
     for t0, t1 in zip(times, times[1:]):
         for k in kicks_at.get(t0, ()):
             v = _fv_add(v, _fvec(k.dv))
-            nrec += k.dn
         accel = _ZERO3
-        nslope = Fraction(0)
         for s in arm.segments:
             if s.t_start <= t0 and t1 <= s.t_end:
                 accel = _fv_add(accel, _fvec(s.a))
-                if s.tau_b is not None:
-                    nslope += _fv_dot(_fvec(s.a), khat) / recoil_speed
         # global-time coefficients from the state (x, v) at t0
-        vel = (_fv_sub(v, _fv_scale(accel, t0)), accel)
         pos = (_fv_add(x, _fv_add(_fv_scale(v, -t0),
                                   _fv_scale(accel, t0 * t0 / 2))),
                _fv_sub(v, _fv_scale(accel, t0)),
                _fv_scale(accel, Fraction(1, 2)))
-        nr = (nrec - nslope * t0, nslope)
-        pieces.append(_Piece(t0, t1, pos, vel, nr))
+        pieces.append(_Piece(t0, t1, pos))
         dt = t1 - t0
         x = _fv_add(x, _fv_add(_fv_scale(v, dt),
                                _fv_scale(accel, dt * dt / 2)))
         v = _fv_add(v, _fv_scale(accel, dt))
-        nrec += nslope * dt
     for k in kicks_at.get(times[-1], ()):
         v = _fv_add(v, _fvec(k.dv))
-        nrec += k.dn
     return PiecewiseTrajectory(pieces, x, v)
 
 
@@ -324,10 +301,6 @@ class PathDifference(PiecewiseTrajectory):
     def separation(self, t) -> np.ndarray:
         t = Fraction(t)
         return _float3(self.piece_at(t).pos_at(t))
-
-    def velocity_difference(self, t) -> np.ndarray:
-        t = Fraction(t)
-        return _float3(self.piece_at(t).vel_at(t))
 
     def sample(self, t: np.ndarray) -> np.ndarray:
         """Vectorised dx(t) evaluation, floats, shape (N, 3)."""
@@ -548,8 +521,8 @@ class SequenceAnalysis:
 
     def __init__(self, seq: InterferometerSequence):
         E = seq.horizon
-        self.trajectories = (integrate_arm(seq.arm_a, seq.params, E),
-                             integrate_arm(seq.arm_b, seq.params, E))
+        self.trajectories = (integrate_arm(seq.arm_a, E),
+                             integrate_arm(seq.arm_b, E))
         self.path_difference = _merge(*self.trajectories)
         self.span = float(2 * E)    # window length as a double
         self._arms = seq.arms()
@@ -663,9 +636,7 @@ def _merge(ta: PiecewiseTrajectory,
         pa = ta.piece_at(mid)
         pb = tb.piece_at(mid)
         pos = tuple(_fv_sub(ca, cb) for ca, cb in zip(pa.pos, pb.pos))
-        vel = tuple(_fv_sub(ca, cb) for ca, cb in zip(pa.vel, pb.vel))
-        nr = tuple(na - nb for na, nb in zip(pa.nrec, pb.nrec))
-        pieces.append(_Piece(u, w, pos, vel, nr))
+        pieces.append(_Piece(u, w, pos))
     return PathDifference(pieces, *end_difference(ta, tb))
 
 
@@ -679,22 +650,6 @@ def end_difference(ta: PiecewiseTrajectory,
 def dot_exact(u, v) -> Fraction:
     """Exact dot product of two 3-vectors of doubles or rationals."""
     return _fv_dot(_fvec(u), _fvec(v))
-
-
-def integrate_polynomial_moment(pd: PathDifference, weight) -> np.ndarray:
-    """Weighted integral of the arm separation.
-
-    weight is 1 (or "1"), "t", or a tuple ("cos"|"sin", omega). Returns
-    the vector integral of weight(t) * dx(t) dt over the window.
-    """
-    if weight in (1, "1", "one"):
-        return pd.moment_poly(0)
-    if weight == "t":
-        return pd.moment_poly(1)
-    if isinstance(weight, tuple) and len(weight) == 2:
-        kind, omega = weight
-        return pd.moment_trig(kind, float(omega))
-    raise SequenceError(f"unsupported weight {weight!r}")
 
 
 def space_time_area(seq: InterferometerSequence) -> np.ndarray:

@@ -287,16 +287,6 @@ class EquivalenceReport:
     phase_kicktrain: float
     phase_abs_diff: float
 
-    def as_text(self) -> str:
-        return ("area_continuous=({},{},{})\n".format(
-                    *(f"{v:.17g}" for v in self.area_continuous))
-                + "area_kicktrain=({},{},{})\n".format(
-                    *(f"{v:.17g}" for v in self.area_kicktrain))
-                + f"area_rel_err={self.area_rel_err:.3e}\n"
-                + f"phase_continuous={self.phase_continuous:.17g}\n"
-                + f"phase_kicktrain={self.phase_kicktrain:.17g}\n"
-                + f"phase_abs_diff={self.phase_abs_diff:.3e}\n")
-
 
 def kicktrain_equivalence(seq_continuous: InterferometerSequence,
                           seq_kicktrain: InterferometerSequence) -> EquivalenceReport:
@@ -374,11 +364,11 @@ def random_closed_sequence(rng: np.random.Generator, params: PhysicalParams,
 
     # every event lies in [-T, T], so each draft's window is [-T, T]; the
     # drafts are integrated uncached, so no analysis object is built
-    ta = kinematics.integrate_arm(arms[0], params, T)
+    ta = kinematics.integrate_arm(arms[0], T)
 
     def end_difference(arm_b: ArmTimeline):
         return kinematics.end_difference(
-            ta, kinematics.integrate_arm(arm_b, params, T))
+            ta, kinematics.integrate_arm(arm_b, T))
 
     dx, _ = end_difference(arms[1])
     t_c = T * Fraction(denom - 4, denom)
@@ -433,7 +423,7 @@ def random_mirrored_sequence(rng: np.random.Generator,
         # every event lies in [-T, T], so the window is [-T, T]; the drafts
         # are integrated uncached, one arm each
         arm = ArmTimeline("a", kicks=tuple(kicks), segments=tuple(segments))
-        return arm, kinematics.integrate_arm(arm, params, T)
+        return arm, kinematics.integrate_arm(arm, T)
 
     if kind == "ii":
         # closure needs arm a's own displacement to vanish

@@ -18,9 +18,10 @@ Schema (all vectors are [x, y, z] in SI units)::
 
 Times may be JSON numbers, decimal strings or "p/q" rational strings; they
 load as exact rationals either way (JSON number tokens are parsed digit-
-exactly, never through a double). The writer emits decimal strings when the
-rational has a finite decimal form and "p/q" otherwise, so a save/load
-round trip preserves every time bit-exactly.
+exactly, never through a double), within the size and magnitude bounds of
+`sequence.parse_time`. The writer emits decimal strings when the rational
+has a finite decimal form and "p/q" otherwise, so a save/load round trip
+preserves every time bit-exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Any
 
 from .errors import SequenceError, SequenceFileError
 from .sequence import (AccelSegment, ArmTimeline, ImpulseKick,
-                       InterferometerSequence, PhysicalParams)
+                       InterferometerSequence, PhysicalParams, parse_time)
 
 FORMAT_TAG = "stalab-sequence/1"
 
@@ -59,6 +60,11 @@ def _time_to_str(t: Fraction) -> str:
     return f"{sign}{head}.{tail}"
 
 
+class _Number(str):
+    """Text of a JSON number with a fraction or exponent: fields parse it
+    exactly (times, after `parse_time` bounds it) or as a float."""
+
+
 def _parse_time(value: Any, where: str) -> Fraction:
     try:
         if isinstance(value, Fraction):
@@ -66,15 +72,17 @@ def _parse_time(value: Any, where: str) -> Fraction:
         if isinstance(value, bool):
             raise TypeError("boolean is not a time")
         if isinstance(value, (int, str)):
-            return Fraction(value)
+            return parse_time(str(value))
         if isinstance(value, float):
             return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise SequenceFileError(where, f"bad time value {value!r}: {exc}")
-    raise SequenceFileError(where, f"bad time value {value!r}")
+        raise SequenceFileError(where, f"bad time value {value!r:.80}: {exc}")
+    raise SequenceFileError(where, f"bad time value {value!r:.80}")
 
 
 def _parse_float(value: Any, where: str) -> float:
+    if isinstance(value, _Number):
+        value = float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise SequenceFileError(where, f"expected a number, got {value!r}")
     try:
@@ -105,11 +113,19 @@ def _get(doc: dict, key: str, where: str) -> Any:
     return doc[key]
 
 
+def _get_list(doc: dict, key: str, where: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise SequenceFileError(f"{where}.{key}",
+                                f"expected a list, got {value!r:.80}")
+    return value
+
+
 def _parse_arm(doc: Any, label: str, where: str) -> ArmTimeline:
     if not isinstance(doc, dict):
         raise SequenceFileError(where, "expected an object")
     kicks = []
-    for i, item in enumerate(doc.get("kicks", ())):
+    for i, item in enumerate(_get_list(doc, "kicks", where)):
         w = f"{where}.kicks[{i}]"
         if not isinstance(item, dict):
             raise SequenceFileError(w, "expected an object")
@@ -119,7 +135,7 @@ def _parse_arm(doc: Any, label: str, where: str) -> ArmTimeline:
             phi=_parse_float(item.get("phi", 0.0), w + ".phi"),
             dn=_parse_int(item.get("dn", 0), w + ".dn")))
     segments = []
-    for i, item in enumerate(doc.get("segments", ())):
+    for i, item in enumerate(_get_list(doc, "segments", where)):
         w = f"{where}.segments[{i}]"
         if not isinstance(item, dict):
             raise SequenceFileError(w, "expected an object")
@@ -202,7 +218,7 @@ def load_sequence(path) -> InterferometerSequence:
     """Read a sequence file; diagnostics name the offending field."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_float=Fraction, parse_int=int)
+            doc = json.load(fh, parse_float=_Number, parse_int=int)
         except json.JSONDecodeError as exc:
             raise SequenceFileError("$", f"not valid JSON: {exc}")
     return sequence_from_dict(doc)

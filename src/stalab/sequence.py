@@ -15,7 +15,7 @@ constant-acceleration recoil configuration.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -34,19 +34,41 @@ RB87_KMAG = 8.055e6
 
 Vec3 = tuple[float, float, float]
 
+# Time text is bounded before its rational is built (1e-999999 alone makes
+# exact arithmetic crawl). MAX_TIME_TEXT digits hold the exact decimal form
+# of any double; beyond MAX_TIME_S the powers of T overflow a double.
+MAX_TIME_TEXT = 1100
+MAX_TIME_S = 10**6
+
+
+def parse_time(text: str) -> Fraction:
+    """Exact time in seconds from decimal or ``p/q`` text, within the
+    bounds above (ValueError otherwise)."""
+    text = text.strip()
+    exponent = text.lower().partition("e")[2].lstrip("+-")
+    if len(text) > MAX_TIME_TEXT or (
+            exponent.isdecimal() and int(exponent) > MAX_TIME_TEXT):
+        raise ValueError(f"time text is limited to {MAX_TIME_TEXT} "
+                         f"characters and exponents of +-{MAX_TIME_TEXT}")
+    t = Fraction(text)
+    if abs(t) > MAX_TIME_S:
+        raise ValueError(f"time beyond +-{MAX_TIME_S} s")
+    return t
+
 
 def as_time(value) -> Fraction:
     """Convert a time value to an exact rational number of seconds.
 
-    Strings parse as exact decimals or ``p/q`` rationals; floats embed
-    exactly (every double is a rational), so no information is lost.
+    Strings parse as exact decimals or ``p/q`` rationals (`parse_time`);
+    floats embed exactly (every double is a rational), so no information
+    is lost.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, np.integer)):
         return Fraction(int(value))
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_time(value)
     if isinstance(value, (float, np.floating)):
         return Fraction(float(value))
     raise TypeError(f"cannot interpret {value!r} as a time")
@@ -64,6 +86,12 @@ def as_vec(value) -> Vec3:
 
 def _finite(vec: Iterable[float]) -> bool:
     return all(np.isfinite(c) for c in vec)
+
+
+def _fields_only(self) -> dict:
+    """Pickle state of the fields alone: derived values (the read-only
+    k_hat, cycle counts, the horizon, the analysis) are rebuilt on use."""
+    return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -85,11 +113,15 @@ class PhysicalParams:
         object.__setattr__(self, "k", as_vec(self.k))
         if not (0 < self.m < np.inf and 0 < self.hbar < np.inf):
             raise SequenceError("mass and hbar must be positive and finite")
-        if self.k_mag == 0.0 or not _finite(self.k):
+        with np.errstate(over="ignore"):  # |k| overflowing is rejected
+            k_ok = 0.0 < self.k_mag < np.inf
+        if not k_ok:
             raise SequenceError("wave vector must be finite and nonzero")
         if int(self.n) != self.n or self.n < 1:
             raise SequenceError("diffraction order n must be an integer >= 1")
         object.__setattr__(self, "n", int(self.n))
+
+    __getstate__ = _fields_only
 
     @cached_property
     def k_mag(self) -> float:
@@ -141,8 +173,9 @@ class ImpulseKick:
     def __post_init__(self):
         object.__setattr__(self, "t", as_time(self.t))
         object.__setattr__(self, "dv", as_vec(self.dv))
-        if not _finite(self.dv):
-            raise SequenceError("kick velocity change must be finite")
+        if not _finite(self.dv) or not np.isfinite(self.phi):
+            raise SequenceError("kick velocity change and phase must be "
+                                "finite")
         object.__setattr__(self, "dn", int(self.dn))
 
 
@@ -171,8 +204,11 @@ class AccelSegment:
                 raise SequenceError("tau_b must be positive")
         if not self.t_start < self.t_end:
             raise SequenceError("segment must have t_start < t_end")
-        if not _finite(self.a):
-            raise SequenceError("segment acceleration must be finite")
+        if not _finite(self.a) or not np.isfinite(self.phi_b):
+            raise SequenceError("segment acceleration and phase must be "
+                                "finite")
+
+    __getstate__ = _fields_only
 
     @property
     def duration(self) -> Fraction:
@@ -231,6 +267,8 @@ class ArmTimeline:
             raise SequenceError("arm label must be 'a' or 'b'")
         object.__setattr__(self, "x0", as_vec(self.x0))
         object.__setattr__(self, "v0", as_vec(self.v0))
+        if not (_finite(self.x0) and _finite(self.v0)):
+            raise SequenceError(f"arm {self.label}: x0 and v0 must be finite")
         object.__setattr__(self, "kicks", _merge_kicks(tuple(self.kicks)))
         segments = tuple(sorted(self.segments, key=lambda s: s.t_start))
         for s0, s1 in zip(segments, segments[1:]):
@@ -282,6 +320,8 @@ class InterferometerSequence:
             if not _finite(vec):
                 raise SequenceError(f"{name} must be finite")
             object.__setattr__(self, name, vec)
+
+    __getstate__ = _fields_only
 
     @cached_property
     def horizon(self) -> Fraction:

@@ -1,8 +1,11 @@
-"""Golden-formula and oracle-equivalence checks behind `stalab validate`.
+"""Golden closed forms and oracle checks, shared with the acceptance suite.
 
-Every check compares an analytic result against either a published closed
-form or a brute-force numerical twin and reports one line in the format
-``case_id=... analytic=... oracle=... abs_err=... rel_err=... verdict=...``.
+Each ``check_*`` function takes its cases and tolerances and returns one
+:class:`CheckResult` per case_id, holding that case_id's worst case.
+``stalab validate`` runs them on the fixed cases of ``_CHECKS`` and prints
+one line per result in the format
+``case_id=... analytic=... oracle=... abs_err=... rel_err=... verdict=...``;
+the acceptance suite runs them on its own seeds, grids and tolerances.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -43,11 +46,38 @@ class CheckResult:
                 f"rel_err={self.rel_err:.3e} verdict={verdict}")
 
 
-def _result(case_id: str, analytic: float, reference: float,
-            tol: float) -> CheckResult:
-    scale = max(abs(analytic), abs(reference), 1e-300)
-    rel = abs(analytic - reference) / scale
-    return CheckResult(case_id, analytic, reference, tol, rel)
+Measure = Callable[[float, float], float]
+
+
+def rel_larger(analytic: float, reference: float) -> float:
+    """Error relative to the larger magnitude of the two."""
+    return abs(analytic - reference) / max(abs(analytic), abs(reference),
+                                           1e-300)
+
+
+def rel_reference(analytic: float, reference: float) -> float:
+    """Error relative to |reference|."""
+    return abs(analytic - reference) / abs(reference)
+
+
+def floored(floor: float) -> Measure:
+    """Error relative to max(reference, floor), for |R|-type references."""
+    return lambda got, gold: abs(got - gold) / max(gold, floor)
+
+
+def scored(analytic: float, reference: float,
+           measure: Measure = rel_larger) -> tuple[float, float, float]:
+    return analytic, reference, measure(analytic, reference)
+
+
+def worst(case_id: str, tol: float, rows: Iterable[tuple]) -> CheckResult:
+    """The first of the (analytic, reference, rel_err) rows whose rel_err
+    is largest."""
+    found = None
+    for row in rows:
+        if found is None or row[2] > found[2]:
+            found = row
+    return CheckResult(case_id, found[0], found[1], tol, found[2])
 
 
 def _params(n: int = 1) -> PhysicalParams:
@@ -55,236 +85,249 @@ def _params(n: int = 1) -> PhysicalParams:
 
 
 G0 = 9.8  # m/s^2, along k_hat in all stock checks
+T0 = Fraction(1, 10)
 
 
-def _check_mz_phase() -> list[CheckResult]:
-    out = []
-    p = _params(n=2)
-    T = Fraction(1, 10)
-    g = tuple(G0 * p.k_hat)
-    seq = build_mach_zehnder(p, T, g=g)
-    bd = phase.total_phase(seq)
-    expected = 2.0 * p.n * p.k_mag * G0 * float(T) ** 2
-    out.append(_result("mz/phase-closed-form", bd.total, expected, 1e-12))
-    out.append(_result("mz/phase-action-oracle", bd.total,
-                       oracle.action_phase(seq), 1e-9))
-    return out
+def const_accel_phase(p: PhysicalParams, T, n_b: int, gamma: float) -> float:
+    """Constant-acceleration recoil phase 8/3 n_b^2 omega_r T - n_b k gamma T^2
+    (ramps of 2 n_b recoils per half)."""
+    return (8.0 / 3.0 * n_b**2 * p.recoil_frequency * float(T)
+            - n_b * p.k_mag * gamma * float(T) ** 2)
 
 
-def _check_mz_transfer() -> list[CheckResult]:
+def const_accel_phase_t3(p: PhysicalParams, T, n_b: int,
+                         gamma: float) -> float:
+    """The same phase as (2 omega_r / (3 tau^2) - k gamma / (2 tau)) T^3,
+    tau = T / (2 n_b)."""
+    tau = float(Fraction(T) / (2 * n_b))
+    return (2.0 * p.recoil_frequency / (3.0 * tau**2)
+            - p.k_mag * gamma / (2.0 * tau)) * float(T) ** 3
+
+
+def check_phase(cases, tol: float = 1e-12,
+                measure: Measure = rel_larger) -> list[CheckResult]:
+    """Total phase of the Mach-Zehnder (n_b = 0) or lattice-boosted
+    sequence against 2 (n + n_b (1/2 - 2 T_r / T)) k gamma T^2 and the
+    action oracle, and a boosted sequence's area against its kick-train
+    twin; ``cases`` are (n, T, n_b, T_r, gamma), g = gamma k_hat, all of
+    one kind."""
+    form, action, train = [], [], []
+    for n, T, n_b, T_r, gamma in cases:
+        p = _params(n)
+        g = tuple(gamma * p.k_hat)
+        seq = (build_cab(p, T, n_b, T_r=T_r, g=g) if n_b
+               else build_mach_zehnder(p, T, g=g))
+        total = phase.total_phase(seq).total
+        expected = (2.0 * (p.n + n_b * (0.5 - 2.0 * float(T_r) / float(T)))
+                    * p.k_mag * gamma * float(T) ** 2)
+        form.append(scored(total, expected, measure))
+        action.append(scored(total, oracle.action_phase(seq), measure))
+        if n_b:
+            rep = oracle.kicktrain_equivalence(
+                seq, build_cab_kicktrain(p, T, n_b, T_r=T_r, g=g))
+            train.append((float(np.linalg.norm(rep.area_continuous)),
+                          float(np.linalg.norm(rep.area_kicktrain)),
+                          rep.area_rel_err))
+    name = "cab" if train else "mz"
+    return [worst(f"{name}/phase-closed-form", tol, form),
+            worst(f"{name}/phase-action-oracle", 1e-9, action)] + (
+        [worst("cab/kicktrain-area", 1e-12, train)] if train else [])
+
+
+def check_transfer_golden(name: str, T, omegas,
+                          measure: Measure = floored(1e-12),
+                          quadrature: bool = False) -> CheckResult:
+    """R of the ``name`` ("mz" or 6-cycle "cab", T_r = 0) sequence against
+    r_mz / r_cab; with ``quadrature`` R is the oracle's |Ac_z / A_z|."""
     p = _params()
-    T = Fraction(1, 10)
-    seq = build_mach_zehnder(p, T)
-    omegas = np.geomspace(0.3 / float(T), 33.0 / float(T), 40)
-    worst_g = worst_q = 0.0
-    at_g = at_q = (0.0, 0.0)
+    mz = name == "mz"
+    seq = build_mach_zehnder(p, T) if mz else build_cab(p, T, 6, T_r=0)
+    area = kinematics.space_time_area(seq)[2]
+    rows = []
     for w in omegas:
-        r = response.sensitivity_R(seq, w)
-        gold = abs(float(response.r_mz(w, T)))
-        if abs(r - gold) / max(gold, 1e-12) > worst_g:
-            worst_g = abs(r - gold) / max(gold, 1e-12)
-            at_g = (r, gold)
-        ac, _ = response.transfer(seq, w)
-        qc, _ = oracle.quadrature_transfer(seq, w)
-        scale = max(np.max(np.abs(ac)), 1e-18)
-        dq = float(np.max(np.abs(ac - qc))) / scale
-        if dq > worst_q:
-            worst_q = dq
-            at_q = (float(ac[2]), float(qc[2]))
+        gold = (response.r_mz(w, T) if mz
+                else response.r_cab(w, T, 6 / (2.0 * p.n)))
+        if quadrature:
+            got = abs(oracle.quadrature_transfer(seq, w)[0][2] / area)
+        else:
+            got = response.sensitivity_R(seq, w)
+        rows.append(scored(got, abs(float(gold)), measure))
+    kind = "quadrature-golden" if quadrature else "golden"
+    return worst(f"{name}/transfer-{kind}", 1e-8, rows)
+
+
+def check_butterfly(n: int, T, omegas,
+                    measure: Measure = floored(1e-10)) -> list[CheckResult]:
+    """Butterfly space-time area (exactly zero) and R* against
+    rstar_butterfly."""
+    seq = build_butterfly(_params(n), T)
+    area = np.asarray(kinematics.space_time_area(seq))
+    rows = [scored(response.sensitivity_Rstar(seq, w),
+                   abs(float(response.rstar_butterfly(w, T))), measure)
+            for w in omegas]
+    return [CheckResult("butterfly/area-zero", float(np.linalg.norm(area)),
+                        0.0, 0.0, float(area.any())),
+            worst("butterfly/rstar-golden", 1e-8, rows)]
+
+
+def check_recoil(n: int, T, n_b: int, tol: float = 1e-12,
+                 measure: Measure = rel_larger) -> list[CheckResult]:
+    """Recoil-triangle kinetic phase and the constant-acceleration phase
+    (ramps of 2 n_b recoils per half, g = G0 k_hat) against both of its
+    closed forms."""
+    p = _params(n)
+    kin = phase.kinetic_phase(build_recoil_triangle(p, T))
+    a = 2.0 * p.hbar * p.k_mag / (p.m * float(Fraction(T) / (2 * n_b)))
+    seq = build_const_accel_recoil(p, T, a, g=tuple(G0 * p.k_hat))
+    total = phase.total_phase(seq).total
     return [
-        CheckResult("mz/transfer-golden", at_g[0], at_g[1], 1e-8, worst_g),
-        CheckResult("mz/transfer-quadrature", at_q[0], at_q[1], 1e-8, worst_q),
+        worst("recoil/triangle-kinetic", tol,
+              [scored(kin, 8.0 * p.n**2 * p.recoil_frequency * float(T),
+                      measure)]),
+        worst("recoil/const-accel-phase", 1e-10,
+              [scored(total, const_accel_phase(p, T, n_b, G0), measure)]),
+        worst("recoil/const-accel-T3-form", 1e-10,
+              [scored(total, const_accel_phase_t3(p, T, n_b, G0), measure)]),
     ]
 
 
-def _check_cab() -> list[CheckResult]:
-    out = []
-    p = _params()
-    T, T_r, n_b = Fraction(1, 8), Fraction(1, 400), 5
-    g = tuple(G0 * p.k_hat)
-    seq = build_cab(p, T, n_b, T_r=T_r, g=g)
-    bd = phase.total_phase(seq)
-    expected = (2.0 * (p.n + n_b * (0.5 - 2.0 * float(T_r) / float(T)))
-                * p.k_mag * G0 * float(T) ** 2)
-    out.append(_result("cab/phase-closed-form", bd.total, expected, 1e-12))
-    out.append(_result("cab/phase-action-oracle", bd.total,
-                       oracle.action_phase(seq), 1e-9))
-    train = build_cab_kicktrain(p, T, n_b, T_r=T_r, g=g)
-    rep = oracle.kicktrain_equivalence(seq, train)
-    out.append(CheckResult("cab/kicktrain-area",
-                           float(np.linalg.norm(rep.area_continuous)),
-                           float(np.linalg.norm(rep.area_kicktrain)),
-                           1e-12, rep.area_rel_err))
-    seq0 = build_cab(p, T, 6, T_r=0)
-    eps = 6 / (2.0 * p.n)
-    omegas = np.linspace(0.7 / float(T), 30.0 / float(T), 40)
-    worst = 0.0
-    at = (0.0, 0.0)
-    for w in omegas:
-        r = response.sensitivity_R(seq0, w)
-        gold = abs(float(response.r_cab(w, T, eps)))
-        rel = abs(r - gold) / max(gold, 1e-12)
-        if rel > worst:
-            worst, at = rel, (r, gold)
-    out.append(CheckResult("cab/transfer-golden", at[0], at[1], 1e-8, worst))
-    return out
-
-
-def _check_butterfly() -> list[CheckResult]:
-    p = _params()
-    T = Fraction(1, 5)
-    seq = build_butterfly(p, T)
-    area = float(np.linalg.norm(kinematics.space_time_area(seq)))
-    out = [_result("butterfly/area-zero", area, 0.0, 0.0)]
-    omegas = np.linspace(0.4 / float(T), 25.0 / float(T), 40)
-    worst = 0.0
-    at = (0.0, 0.0)
-    for w in omegas:
-        r = response.sensitivity_Rstar(seq, w)
-        gold = abs(float(response.rstar_butterfly(w, T)))
-        rel = abs(r - gold) / max(gold, 1e-10)
-        if rel > worst:
-            worst, at = rel, (r, gold)
-    out.append(CheckResult("butterfly/rstar-golden", at[0], at[1], 1e-8,
-                           worst))
-    return out
-
-
-def _check_laser() -> list[CheckResult]:
-    p = _params(n=3)
-    T = Fraction(1, 10)
-    phis = (0.21, -0.4, 1.13)
-    seq = build_mach_zehnder(p, T, phases=phis)
-    expected = p.n * (phis[0] - 2 * phis[1] + phis[2])
-    out = [_result("laser/mz-pattern", phase.laser_phase(seq), expected,
-                   1e-12)]
-    bp = (0.3, -0.7, 0.11, 0.5)
-    n_b = 4
-    seq2 = build_cab(p, T, n_b, T_r=Fraction(1, 200), phases=phis,
-                     bloch_phases=bp)
-    expected2 = (p.n * (phis[0] - 2 * phis[1] + phis[2])
-                 + n_b * (bp[0] - bp[1] - bp[2] + bp[3]))
-    out.append(_result("laser/cab-pattern", phase.laser_phase(seq2),
-                       expected2, 1e-12))
-    return out
-
-
-def _check_recoil() -> list[CheckResult]:
-    out = []
+def check_separation(offsets, closed,
+                     measure: Measure = rel_larger) -> list[CheckResult]:
+    """Separation phase of an n = 2 Mach-Zehnder whose final pulse moves by
+    each of ``offsets``, and exact zeros for the ``closed`` builders."""
     p = _params(n=2)
-    T = Fraction(3, 25)
-    seq = build_recoil_triangle(p, T)
-    expected = 8.0 * p.n**2 * p.recoil_frequency * float(T)
-    out.append(_result("recoil/triangle-kinetic", phase.kinetic_phase(seq),
-                       expected, 1e-12))
-    n_b, tau_b = 7, Fraction(3, 25) / 14  # n_b = T / (2 tau_b)
-    a = 2.0 * p.hbar * p.k_mag / (p.m * float(tau_b))
-    g = tuple(G0 * p.k_hat)
-    seq2 = build_const_accel_recoil(p, T, a, g=g)
-    bd = phase.total_phase(seq2)
-    expected2 = (8.0 / 3.0 * n_b**2 * p.recoil_frequency * float(T)
-                 - n_b * p.k_mag * G0 * float(T) ** 2)
-    out.append(_result("recoil/const-accel-phase", bd.total, expected2,
-                       1e-10))
-    tau = float(tau_b)
-    rewritten = (2.0 * p.recoil_frequency / (3.0 * tau**2)
-                 - p.k_mag * G0 / (2.0 * tau)) * float(T) ** 3
-    out.append(_result("recoil/const-accel-T3-form", bd.total, rewritten,
-                       1e-10))
-    return out
-
-
-def _check_separation() -> list[CheckResult]:
-    p = _params(n=2)
-    T = Fraction(1, 10)
     out = []
-    for dt in (Fraction(1, 10**6), -Fraction(1, 10**6)):
-        seq = build_mach_zehnder(p, T, last_pulse_offset=dt)
-        got = phase.separation_phase(seq)
+    for dt in offsets:
+        got = phase.separation_phase(
+            build_mach_zehnder(p, T0, last_pulse_offset=dt))
         expected = 8.0 * p.n**2 * p.recoil_frequency * float(dt)
-        out.append(_result(f"separation/timing-offset({float(dt):+.0e})",
-                           got, expected, 1e-9))
-    closed = phase.separation_phase(build_mach_zehnder(p, T))
-    out.append(_result("separation/closed-zero", closed, 0.0, 0.0))
+        out.append(worst(f"separation/timing-offset({float(dt):+.0e})", 1e-9,
+                         [scored(got, expected, measure)]))
+    # against an exact zero any nonzero value scores 1 on rel_larger
+    zeros = [scored(phase.separation_phase(build(p, T0)), 0.0)
+             for build in closed]
+    out.append(worst("separation/closed-zero", 0.0, zeros))
     return out
 
 
-def _check_sagnac() -> list[CheckResult]:
+def check_sagnac(cases, total: bool = False, tol: float = 1e-10,
+                 measure: Measure = rel_larger) -> list[CheckResult]:
+    """Rotation phase of the Mach-Zehnder and 4-cycle lattice-boosted
+    sequences (g = G0 k_hat) against its closed form and the rotation
+    oracle; ``cases`` are (Omega, v_i). With ``total`` the closed form is
+    checked on the total phase, g term included, else on sagnac_phase."""
     p = _params()
-    T = Fraction(1, 10)
-    earth = 7.292e-5
-    rot = (earth, 0.0, 0.0)
-    v_i = (0.0, 0.25, 0.0)
     g = tuple(G0 * p.k_hat)
-    out = []
-    seq = build_mach_zehnder(p, T, g=g, omega=rot, v_i=v_i)
-    got = phase.sagnac_phase(seq)
-    cross = np.cross(rot, v_i)
-    expected = -4.0 * p.n * float(T) ** 2 * float(np.dot(p.k_hat * p.k_mag,
-                                                         cross))
-    out.append(_result("sagnac/mz-closed-form", got, expected, 1e-10))
-    out.append(_result("sagnac/mz-oracle", got, oracle.sagnac_oracle(seq),
-                       1e-8))
-    n_b = 4
-    seq2 = build_cab(p, T, n_b, T_r=0, g=g, omega=rot, v_i=v_i)
-    got2 = phase.sagnac_phase(seq2)
-    tau = float(T) / (2 * n_b)
-    expected2 = -(2.0 * p.n * float(T) ** 2 + float(T) ** 3 / (2 * tau)) \
-        * float(np.dot(p.k_hat * p.k_mag, 2.0 * cross))
-    out.append(_result("sagnac/cab-closed-form", got2, expected2, 1e-10))
-    out.append(_result("sagnac/cab-oracle", got2, oracle.sagnac_oracle(seq2),
-                       1e-8))
-    return out
+    T = float(T0)
+    # lever arm of k.(g - 2 Omega x v_i): 2 n T^2, plus T^3 / (2 tau) with
+    # tau = T / 8 for the lattice
+    levers = {"mz": 2.0 * p.n * T ** 2,
+              "cab": 2.0 * p.n * T ** 2 + T ** 3 / (2 * (T / 8))}
+    form = {"mz": [], "cab": []}
+    brute = {"mz": [], "cab": []}
+    for rot, v_i in cases:
+        gv = np.asarray(g if total else (0.0, 0.0, 0.0)) \
+            - 2.0 * np.cross(rot, v_i)
+        k_gv = float(np.dot(p.k_mag * p.k_hat, gv))
+        common = dict(g=g, omega=rot, v_i=v_i)
+        for name, seq in (("mz", build_mach_zehnder(p, T0, **common)),
+                          ("cab", build_cab(p, T0, 4, T_r=0, **common))):
+            sag = phase.sagnac_phase(seq)
+            got = phase.total_phase(seq).total if total else sag
+            form[name].append(scored(got, levers[name] * k_gv, measure))
+            brute[name].append(scored(sag, oracle.sagnac_oracle(seq)))
+    return [r for name in ("mz", "cab")
+            for r in (worst(f"sagnac/{name}-closed-form", tol, form[name]),
+                      worst(f"sagnac/{name}-oracle", 1e-8, brute[name]))]
 
 
-def _check_decomposition(seed: int = 0, cases: int = 20) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def check_decomposition(rng: np.random.Generator, cases: int,
+                        g_max: float) -> list[CheckResult]:
+    """separation + kinetic + inertial against the action oracle on random
+    closed sequences, g uniform in [-g_max, g_max] along k_hat."""
     p = _params()
-    worst = 0.0
-    at = (0.0, 0.0)
+    rows = []
     for _ in range(cases):
-        seq = oracle.random_closed_sequence(rng, p, Fraction(1, 10))
-        g = tuple(float(rng.uniform(-15, 15)) * p.k_hat)
+        seq = oracle.random_closed_sequence(rng, p, T0)
+        g = tuple(float(rng.uniform(-g_max, g_max)) * p.k_hat)
         analytic = math.fsum((phase.separation_phase(seq),
                               phase.kinetic_phase(seq),
                               phase.inertial_phase(seq, g)))
-        brute = oracle.action_phase(seq, g)
-        rel = abs(analytic - brute) / max(abs(analytic), abs(brute), 1e-300)
-        if rel > worst:
-            worst, at = rel, (analytic, brute)
-    return [CheckResult("decomposition/randomized", at[0], at[1], 1e-9,
-                        worst)]
+        rows.append(scored(analytic, oracle.action_phase(seq, g)))
+    return [worst("decomposition/randomized", 1e-9, rows)]
 
 
-def _check_symmetry(seed: int = 1, cases: int = 10) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def check_symmetry(rng: np.random.Generator,
+                   cases: int) -> list[CheckResult]:
+    """Kinetic phase of ``cases`` random mirrored sequences of each kind,
+    relative to the arms' own kinetic action; reports the worst ratio."""
     p = _params()
-    worst = 0.0
+    rows = []
     for kind in ("i", "ii"):
         for _ in range(cases):
-            seq = oracle.random_mirrored_sequence(rng, p, Fraction(1, 10),
-                                                  kind)
+            seq = oracle.random_mirrored_sequence(rng, p, T0, kind)
             ta, tb = kinematics.arm_trajectories(seq)
             scale = 0.5 * p.m / p.hbar * float(
                 kinematics.speed_squared_integral_exact(ta)
                 + kinematics.speed_squared_integral_exact(tb))
             rel = abs(phase.kinetic_phase(seq)) / max(scale, 1e-300)
-            worst = max(worst, rel)
-    return [CheckResult("symmetry/kinetic-cancellation", worst, 0.0, 1e-12,
-                        worst)]
+            rows.append((rel, 0.0, rel))
+    return [worst("symmetry/kinetic-cancellation", 1e-12, rows)]
+
+
+# ----------------------------------------------------------------------
+# the fixed cases of `stalab validate`
+# ----------------------------------------------------------------------
+
+def _check_mz_transfer() -> list[CheckResult]:
+    omegas = np.geomspace(0.3 / float(T0), 33.0 / float(T0), 40)
+    seq = build_mach_zehnder(_params(), T0)
+    rows = []
+    for w in omegas:
+        ac, _ = response.transfer(seq, w)
+        qc, _ = oracle.quadrature_transfer(seq, w)
+        scale = max(np.max(np.abs(ac)), 1e-18)
+        rows.append((float(ac[2]), float(qc[2]),
+                     float(np.max(np.abs(ac - qc))) / scale))
+    return [check_transfer_golden("mz", T0, omegas),
+            worst("mz/transfer-quadrature", 1e-8, rows)]
+
+
+def _check_cab() -> list[CheckResult]:
+    T = Fraction(1, 8)
+    omegas = np.linspace(0.7 / float(T), 30.0 / float(T), 40)
+    return check_phase([(1, T, 5, Fraction(1, 400), G0)]) + [
+        check_transfer_golden("cab", T, omegas)]
+
+
+def _check_laser() -> list[CheckResult]:
+    p = _params(n=3)
+    phis, bp = (0.21, -0.4, 1.13), (0.3, -0.7, 0.11, 0.5)
+    mz = build_mach_zehnder(p, T0, phases=phis)
+    cab = build_cab(p, T0, 4, T_r=Fraction(1, 200), phases=phis,
+                    bloch_phases=bp)
+    expected = p.n * (phis[0] - 2 * phis[1] + phis[2])
+    return [worst("laser/mz-pattern", 1e-12,
+                  [scored(phase.laser_phase(mz), expected)]),
+            worst("laser/cab-pattern", 1e-12,
+                  [scored(phase.laser_phase(cab),
+                          expected + 4 * (bp[0] - bp[1] - bp[2] + bp[3]))])]
 
 
 _CHECKS: dict[str, Callable[[], list[CheckResult]]] = {
-    "mz/phase": _check_mz_phase,
+    "mz/phase": lambda: check_phase([(2, T0, 0, 0, G0)]),
     "mz/transfer": _check_mz_transfer,
     "cab": _check_cab,
-    "butterfly": _check_butterfly,
+    "butterfly": lambda: check_butterfly(  # T = 1/5 s
+        1, Fraction(1, 5), np.linspace(0.4 / 0.2, 25.0 / 0.2, 40)),
     "laser": _check_laser,
-    "recoil": _check_recoil,
-    "separation": _check_separation,
-    "sagnac": _check_sagnac,
-    "decomposition": _check_decomposition,
-    "symmetry": _check_symmetry,
+    "recoil": lambda: check_recoil(2, Fraction(3, 25), 7),
+    "separation": lambda: check_separation(
+        (Fraction(1, 10**6), -Fraction(1, 10**6)), (build_mach_zehnder,)),
+    "sagnac": lambda: check_sagnac([((7.292e-5, 0.0, 0.0), (0.0, 0.25, 0.0))]),
+    "decomposition": lambda: check_decomposition(np.random.default_rng(0),
+                                                 20, 15.0),
+    "symmetry": lambda: check_symmetry(np.random.default_rng(1), 10),
 }
 
 

@@ -1,21 +1,27 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
-Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines. Tolerances are fixed here, not tuned at runtime.
+The golden closed forms and their checks live in :mod:`stalab.validate`;
+each criterion runs them on its own seeds, grids, tolerances and runtime
+gates. Run with ``pytest tests/test_acceptance.py -s`` to see the
+per-criterion lines. Tolerances are fixed here, not tuned at runtime.
 """
 
-import math
 import time
 from fractions import Fraction
 
 import numpy as np
 
 import stalab as st
-from stalab import kinematics
+from stalab import validate
+from stalab.validate import floored, rel_reference, scored, worst
 
 
-def _report(num, label, ok, elapsed, detail):
+def _report(num, label, start, results, max_seconds=None):
+    elapsed = time.perf_counter() - start
+    ok = all(r.passed for r in results) \
+        and (max_seconds is None or elapsed < max_seconds)
     verdict = "PASS" if ok else "FAIL"
+    detail = " ".join(f"{r.case_id}={r.rel_err:.2e}" for r in results)
     print(f"[criterion {num}] {verdict} {label} ({elapsed:.2f} s) {detail}")
     assert ok, f"criterion {num}: {label}: {detail}"
 
@@ -23,243 +29,119 @@ def _report(num, label, ok, elapsed, detail):
 def test_criterion_1_mach_zehnder_phase():
     rng = np.random.default_rng(101)
     start = time.perf_counter()
-    worst_formula = worst_oracle = 0.0
-    for _ in range(20):
-        n = int(rng.integers(1, 11))
-        T = Fraction(int(rng.integers(1, 1001)), 1000)
-        gamma = float(rng.uniform(0.5, 20.0))
-        p = st.PhysicalParams.rubidium87(n=n)
-        seq = st.build_mach_zehnder(p, T, g=tuple(gamma * p.k_hat))
-        total = st.total_phase(seq).total
-        expected = 2.0 * n * p.k_mag * gamma * float(T) ** 2
-        brute = st.action_phase(seq)
-        worst_formula = max(worst_formula,
-                            abs(total - expected) / abs(expected))
-        worst_oracle = max(worst_oracle, abs(total - brute) / abs(brute))
-    elapsed = time.perf_counter() - start
-    ok = worst_formula <= 1e-9 and worst_oracle <= 1e-9 and elapsed < 1.0
-    _report(1, "mach-zehnder phase", ok, elapsed,
-            f"max_rel_formula={worst_formula:.2e} "
-            f"max_rel_oracle={worst_oracle:.2e}")
+    cases = [(int(rng.integers(1, 11)),
+              Fraction(int(rng.integers(1, 1001)), 1000), 0, 0,
+              float(rng.uniform(0.5, 20.0))) for _ in range(20)]
+    results = validate.check_phase(cases, tol=1e-9, measure=rel_reference)
+    _report(1, "mach-zehnder phase", start, results, max_seconds=1.0)
 
 
 def test_criterion_2_cab_phase_and_kicktrain():
     rng = np.random.default_rng(202)
     start = time.perf_counter()
-    worst_formula = worst_oracle = worst_train = 0.0
+    cases = []
     for _ in range(20):
-        n = int(rng.integers(1, 5))
-        n_b = int(rng.integers(1, 16))
+        n, n_b = int(rng.integers(1, 5)), int(rng.integers(1, 16))
         T = Fraction(int(rng.integers(40, 400)), 1000)
-        T_r = T * int(rng.integers(0, 12)) / 100
-        gamma = float(rng.uniform(0.5, 15.0))
-        p = st.PhysicalParams.rubidium87(n=n)
-        g = tuple(gamma * p.k_hat)
-        seq = st.build_cab(p, T, n_b, T_r=T_r, g=g)
-        total = st.total_phase(seq).total
-        expected = (2.0 * (n + n_b * (0.5 - 2.0 * float(T_r) / float(T)))
-                    * p.k_mag * gamma * float(T) ** 2)
-        brute = st.action_phase(seq)
-        worst_formula = max(worst_formula,
-                            abs(total - expected) / abs(expected))
-        worst_oracle = max(worst_oracle, abs(total - brute) / abs(brute))
-        train = st.build_cab_kicktrain(p, T, n_b, T_r=T_r, g=g)
-        worst_train = max(worst_train,
-                          st.kicktrain_equivalence(seq, train).area_rel_err)
-    elapsed = time.perf_counter() - start
-    ok = worst_formula <= 1e-9 and worst_oracle <= 1e-9 \
-        and worst_train <= 1e-12
-    _report(2, "lattice-boosted phase + kick-train area", ok, elapsed,
-            f"max_rel_formula={worst_formula:.2e} "
-            f"max_rel_oracle={worst_oracle:.2e} "
-            f"max_rel_train_area={worst_train:.2e}")
+        cases.append((n, T, n_b, T * int(rng.integers(0, 12)) / 100,
+                      float(rng.uniform(0.5, 15.0))))
+    results = validate.check_phase(cases, tol=1e-9, measure=rel_reference)
+    _report(2, "lattice-boosted phase + kick-train area", start, results)
 
 
 def test_criterion_3_butterfly():
     start = time.perf_counter()
     p = st.PhysicalParams.rubidium87(n=2)
     T = Fraction(1, 8)
+    results = validate.check_butterfly(
+        2, T, np.linspace(0.21 / float(T), 36.0 / float(T), 200),
+        measure=floored(1e-12))
+
     seq = st.build_butterfly(p, T)
-
-    area_exact = np.asarray(st.space_time_area(seq))
-    area_zero = not area_exact.any()
-
-    worst_rstar = 0.0
-    for w in np.linspace(0.21 / float(T), 36.0 / float(T), 200):
-        got = st.sensitivity_Rstar(seq, w)
-        gold = abs(float(st.rstar_butterfly(w, T)))
-        worst_rstar = max(worst_rstar,
-                          abs(got - gold) / max(gold, 1e-12))
-
     a_s = 0.47
-    worst_small = 0.0
+    rows = []
     for wT in (0.002, 0.01, 0.03, 0.049):
         w = wT / float(T)
         wave = st.Waveform(sines=(((0.0, 0.0, a_s), w),))
         got = st.inertial_phase_timevarying(seq, wave)
         approx = p.n * p.k_mag * a_s * w * float(T) ** 3 / 2.0
-        worst_small = max(worst_small, abs(got - approx) / abs(approx))
-    elapsed = time.perf_counter() - start
-    ok = area_zero and worst_rstar <= 1e-8 and worst_small <= 0.01
-    _report(3, "butterfly area / R* / low-frequency response", ok, elapsed,
-            f"area_zero={area_zero} max_rel_rstar={worst_rstar:.2e} "
-            f"max_rel_lowfreq={worst_small:.2e}")
+        rows.append(scored(got, approx, rel_reference))
+    results.append(worst("butterfly/low-frequency", 0.01, rows))
+    _report(3, "butterfly area / R* / low-frequency response", start,
+            results)
 
 
 def test_criterion_4_transfer_golden_forms():
     start = time.perf_counter()
-    p = st.PhysicalParams.rubidium87()
     T = Fraction(1, 10)
-    mz = st.build_mach_zehnder(p, T)
-    n_b = 6
-    cab = st.build_cab(p, T, n_b, T_r=0)
-    eps = n_b / (2.0 * p.n)
-    area_mz = st.space_time_area(mz)[2]
-    area_cab = st.space_time_area(cab)[2]
 
-    def rel(got, gold):
+    def measure(got, gold):
         # 1e-8 relative with the documented 1e-12 absolute floor, which
         # only matters within rounding distance of the transfer zeros
         return abs(got - gold) / (max(gold, got) + 1e-4)
 
-    worst = {"mz-exact": 0.0, "mz-quad": 0.0, "cab-exact": 0.0,
-             "cab-quad": 0.0}
-    for w in np.linspace(0.17 / float(T), 40.0 / float(T), 200):
-        gold = abs(float(st.r_mz(w, T)))
-        got = st.sensitivity_R(mz, w)
-        worst["mz-exact"] = max(worst["mz-exact"], rel(got, gold))
-        qc, _ = st.quadrature_transfer(mz, w)
-        worst["mz-quad"] = max(worst["mz-quad"], rel(abs(qc[2] / area_mz),
-                                                     gold))
-        gold = abs(float(st.r_cab(w, T, eps)))
-        got = st.sensitivity_R(cab, w)
-        worst["cab-exact"] = max(worst["cab-exact"], rel(got, gold))
-        qc, _ = st.quadrature_transfer(cab, w)
-        worst["cab-quad"] = max(worst["cab-quad"], rel(abs(qc[2] / area_cab),
-                                                       gold))
-    elapsed = time.perf_counter() - start
-    ok = all(v <= 1e-8 for v in worst.values()) and elapsed < 5.0
-    detail = " ".join(f"{k}={v:.2e}" for k, v in worst.items())
-    _report(4, "transfer-function golden forms", ok, elapsed, detail)
+    omegas = np.linspace(0.17 / float(T), 40.0 / float(T), 200)
+    results = [validate.check_transfer_golden(name, T, omegas, measure,
+                                              quadrature)
+               for name in ("mz", "cab") for quadrature in (False, True)]
+    _report(4, "transfer-function golden forms", start, results,
+            max_seconds=5.0)
 
 
 def test_criterion_5_recoil_results():
     start = time.perf_counter()
     p = st.PhysicalParams.rubidium87(n=3)
-    T = Fraction(3, 20)
-    tri = st.build_recoil_triangle(p, T)
-    kin = st.kinetic_phase(tri)
-    kin_expected = 8.0 * p.n**2 * p.recoil_frequency * float(T)
-    rel_tri = abs(kin - kin_expected) / kin_expected
-
-    n_b = 9
-    tau_b = T / (2 * n_b)
-    a = 2.0 * p.hbar * p.k_mag / (p.m * float(tau_b))
-    gamma = 9.8
-    seq = st.build_const_accel_recoil(p, T, a, g=tuple(gamma * p.k_hat))
-    total = st.total_phase(seq).total
-    direct = (8.0 / 3.0 * n_b**2 * p.recoil_frequency * float(T)
-              - n_b * p.k_mag * gamma * float(T) ** 2)
-    tau = float(tau_b)
-    rewritten = (2.0 * p.recoil_frequency / (3.0 * tau**2)
-                 - p.k_mag * gamma / (2.0 * tau)) * float(T) ** 3
-    rel_direct = abs(total - direct) / abs(direct)
-    rel_rewrite = abs(direct - rewritten) / abs(rewritten)
-    elapsed = time.perf_counter() - start
-    ok = rel_tri <= 1e-10 and rel_direct <= 1e-10 and rel_rewrite <= 1e-10
-    _report(5, "recoil-sensitive configurations", ok, elapsed,
-            f"triangle={rel_tri:.2e} const_accel={rel_direct:.2e} "
-            f"T3_rewrite={rel_rewrite:.2e}")
+    T, n_b = Fraction(3, 20), 9
+    results = validate.check_recoil(3, T, n_b, tol=1e-10,
+                                    measure=rel_reference)
+    direct = validate.const_accel_phase(p, T, n_b, validate.G0)
+    rewritten = validate.const_accel_phase_t3(p, T, n_b, validate.G0)
+    results.append(worst("recoil/T3-rewrite", 1e-10,
+                         [scored(direct, rewritten, rel_reference)]))
+    _report(5, "recoil-sensitive configurations", start, results)
 
 
 def test_criterion_6_separation_phase():
     start = time.perf_counter()
-    p = st.PhysicalParams.rubidium87(n=2)
-    T = Fraction(1, 10)
-    worst = 0.0
-    for dt in (Fraction(1, 10**6), -Fraction(1, 10**6),
-               Fraction(1, 10**5), -Fraction(1, 10**5)):
-        seq = st.build_mach_zehnder(p, T, last_pulse_offset=dt)
-        got = st.separation_phase(seq)
-        expected = 8.0 * p.n**2 * p.recoil_frequency * float(dt)
-        worst = max(worst, abs(got - expected) / abs(expected))
-
-    closed_ok = True
-    for build in (st.build_mach_zehnder, st.build_butterfly,
-                  st.build_recoil_triangle):
-        closed_ok &= st.separation_phase(build(p, T)) == 0.0
-    closed_ok &= st.separation_phase(st.build_cab(p, T, 4, T_r=0)) == 0.0
-    closed_ok &= st.separation_phase(
-        st.build_const_accel_recoil(p, T, 0.2)) == 0.0
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-9 and closed_ok
-    _report(6, "separation phase", ok, elapsed,
-            f"max_rel_timing={worst:.2e} closed_exact_zero={closed_ok}")
+    offsets = (Fraction(1, 10**6), -Fraction(1, 10**6),
+               Fraction(1, 10**5), -Fraction(1, 10**5))
+    closed = (st.build_mach_zehnder, st.build_butterfly,
+              st.build_recoil_triangle,
+              lambda p, T: st.build_cab(p, T, 4, T_r=0),
+              lambda p, T: st.build_const_accel_recoil(p, T, 0.2))
+    results = validate.check_separation(offsets, closed,
+                                        measure=rel_reference)
+    _report(6, "separation phase", start, results)
 
 
 def test_criterion_7_sagnac():
     start = time.perf_counter()
     rng = np.random.default_rng(707)
     p = st.PhysicalParams.rubidium87()
-    T = Fraction(1, 10)
-    g = tuple(9.8 * p.k_hat)
-    worst_form = worst_oracle = 0.0
+    cases = []
     for _ in range(6):
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         rot = tuple(float(rng.uniform(0.1, 1.0)) * 7.3e-5 * direction)
         v_perp = np.cross(p.k_hat, rng.normal(size=3))
-        v_i = tuple(0.4 * v_perp / max(np.linalg.norm(v_perp), 1e-9))
-
-        seq = st.build_mach_zehnder(p, T, g=g, omega=rot, v_i=v_i)
-        got = st.total_phase(seq).total
-        gv = np.asarray(g) - 2.0 * np.cross(rot, v_i)
-        expected = 2.0 * p.n * float(T) ** 2 * float(
-            np.dot(p.k_mag * p.k_hat, gv))
-        worst_form = max(worst_form, abs(got - expected) / abs(expected))
-        sag = st.sagnac_phase(seq)
-        brute = st.sagnac_oracle(seq)
-        worst_oracle = max(worst_oracle,
-                           abs(sag - brute) / max(abs(sag), abs(brute)))
-
-        n_b = 4
-        cab = st.build_cab(p, T, n_b, T_r=0, g=g, omega=rot, v_i=v_i)
-        tau = float(T) / (2 * n_b)
-        expected = (2.0 * p.n * float(T) ** 2 + float(T) ** 3 / (2 * tau)) \
-            * float(np.dot(p.k_mag * p.k_hat, gv))
-        got = st.total_phase(cab).total
-        worst_form = max(worst_form, abs(got - expected) / abs(expected))
-        sag = st.sagnac_phase(cab)
-        brute = st.sagnac_oracle(cab)
-        worst_oracle = max(worst_oracle,
-                           abs(sag - brute) / max(abs(sag), abs(brute)))
-    elapsed = time.perf_counter() - start
-    ok = worst_form <= 1e-8 and worst_oracle <= 1e-8
-    _report(7, "rotation response", ok, elapsed,
-            f"max_rel_closed_form={worst_form:.2e} "
-            f"max_rel_oracle={worst_oracle:.2e}")
+        cases.append((rot, tuple(0.4 * v_perp
+                                 / max(np.linalg.norm(v_perp), 1e-9))))
+    results = validate.check_sagnac(cases, total=True, tol=1e-8,
+                                    measure=rel_reference)
+    _report(7, "rotation response", start, results)
 
 
 def test_criterion_8_property_suites():
     start = time.perf_counter()
     p = st.PhysicalParams.rubidium87()
     T = Fraction(1, 10)
+    rng = np.random.default_rng(808)
 
     # (a) velocity mirror symmetries cancel the kinetic term
-    rng = np.random.default_rng(808)
-    worst_kin = 0.0
-    for kind in ("i", "ii"):
-        for _ in range(25):
-            seq = st.random_mirrored_sequence(rng, p, T, kind)
-            ta, tb = kinematics.arm_trajectories(seq)
-            scale = 0.5 * p.m / p.hbar * float(
-                kinematics.speed_squared_integral_exact(ta)
-                + kinematics.speed_squared_integral_exact(tb))
-            worst_kin = max(worst_kin,
-                            abs(st.kinetic_phase(seq)) / max(scale, 1e-300))
+    results = validate.check_symmetry(rng, 25)
 
     # (b) separation parity kills the matching quadrature everywhere
-    worst_parity = 0.0
+    rows = []
     for kind, trig in (("i", "sin"), ("ii", "cos")):
         for _ in range(15):
             seq = st.random_mirrored_sequence(rng, p, T, kind)
@@ -268,24 +150,10 @@ def test_criterion_8_property_suites():
             span = float(pd.end - pd.start)
             for w in rng.uniform(0.0, 50.0 / float(T), 3):
                 moment = pd.moment_trig(trig, w)
-                worst_parity = max(worst_parity,
-                                   float(np.max(np.abs(moment)))
-                                   / max(xs * span, 1e-300))
+                rel = float(np.max(np.abs(moment))) / max(xs * span, 1e-300)
+                rows.append((rel, 0.0, rel))
+    results.append(worst("parity/quadrature-cancellation", 1e-12, rows))
 
     # (c) decomposition identity against the action oracle
-    worst_dec = 0.0
-    for _ in range(100):
-        seq = st.random_closed_sequence(rng, p, T)
-        g = tuple(float(rng.uniform(-12.0, 12.0)) * p.k_hat)
-        analytic = math.fsum((st.separation_phase(seq),
-                              st.kinetic_phase(seq),
-                              st.inertial_phase(seq, g)))
-        brute = st.action_phase(seq, g)
-        worst_dec = max(worst_dec, abs(analytic - brute)
-                        / max(abs(analytic), abs(brute), 1e-300))
-    elapsed = time.perf_counter() - start
-    ok = worst_kin <= 1e-12 and worst_parity <= 1e-12 \
-        and worst_dec <= 1e-9 and elapsed < 60.0
-    _report(8, "property suites", ok, elapsed,
-            f"kinetic_cancel={worst_kin:.2e} parity_cancel={worst_parity:.2e} "
-            f"decomposition={worst_dec:.2e}")
+    results += validate.check_decomposition(rng, 100, 12.0)
+    _report(8, "property suites", start, results, max_seconds=60.0)

@@ -1,7 +1,9 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,21 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _mz_file_with(tmp_path, where, token):
+    """A Mach-Zehnder sequence file whose field at ``where`` holds the raw
+    JSON text ``token``."""
+    doc = seqfile.sequence_to_dict(
+        st.build_mach_zehnder(st.PhysicalParams.rubidium87(), "0.1"))
+    *outer, last = where
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = "@@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc).replace('"@@"', token))
+    return str(path)
 
 
 class TestPhaseCommand:
@@ -58,18 +75,29 @@ class TestPhaseCommand:
     ])
     def test_non_finite_value_exit_1_names_field(self, where, token, field,
                                                  tmp_path, capsys):
-        doc = seqfile.sequence_to_dict(
-            st.build_mach_zehnder(st.PhysicalParams.rubidium87(), "0.1"))
-        *outer, last = where
-        target = doc
-        for key in outer:
-            target = target[key]
-        target[last] = "@@"
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc).replace('"@@"', token))
-        code, out, err = run(["phase", "--input", str(path)], capsys)
+        code, out, err = run(["phase", "--input",
+                              _mz_file_with(tmp_path, where, token)], capsys)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: field '{field}'")
+
+    @pytest.mark.parametrize("where,token,field", [
+        (("arm_a", "kicks"), "5", "arm_a.kicks"),
+        (("arm_b", "segments"), '{"t_s": 0}', "arm_b.segments"),
+        (("T",), '"1e999999"', "T"),
+        (("T",), '"1e-999999"', "T"),
+        (("T",), "1e-999999", "T"),
+        (("arm_b", "kicks", 0, "t"), '"1/1' + "0" * 1100 + '"',
+         "arm_b.kicks[0].t"),
+    ])
+    def test_malformed_value_exit_1_names_field_fast(self, where, token,
+                                                     field, tmp_path, capsys):
+        start = time.perf_counter()
+        code, out, err = run(["phase", "--input",
+                              _mz_file_with(tmp_path, where, token)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: field '{field}'")
+        assert len(err.splitlines()) == 1
+        assert time.perf_counter() - start < 1.0
 
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(["phase", "--input", "/nonexistent.json"], capsys)
@@ -175,6 +203,12 @@ class TestCatalogCommand:
 
 
 class TestValidateCommand:
+    def test_full_run_matches_golden_output(self, capsys):
+        golden = Path(__file__).parent / "golden" / "validate.txt"
+        code, out, _ = run(["validate"], capsys)
+        assert code == 0
+        assert out == golden.read_text(encoding="utf-8")
+
     def test_filtered_run_passes(self, capsys):
         code, out, _ = run(["validate", "--filter", "sagnac"], capsys)
         assert code == 0

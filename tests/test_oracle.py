@@ -153,7 +153,6 @@ class TestKicktrainEquivalence:
                                        g=g_down, rel_tol=0.2)
         report = st.kicktrain_equivalence(cont, train)
         assert report.area_rel_err > 1e-6
-        assert "area_rel_err" in report.as_text()
 
     def test_zero_cycles_identical(self, params, T, g_down):
         cont = st.build_cab(params, T, 0, g=g_down)

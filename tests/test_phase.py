@@ -58,11 +58,18 @@ class TestKineticPhase:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_triangle_matches_recoil_count_form(self, params_n2, T):
-        from stalab import kinematics
         seq = st.build_recoil_triangle(params_n2, T)
-        ta, tb = kinematics.arm_trajectories(seq)
-        counts = kinematics.recoil_squared_integral_exact(tb) \
-            - kinematics.recoil_squared_integral_exact(ta)
+
+        def n_squared_integral(arm):
+            # exact integral of n(t)^2 dt: the recoil count n(t) starts at 0
+            # (no launch velocity, no ramps) and steps by each kick's dn
+            total, n, t_prev = Fraction(0), 0, -seq.horizon
+            for kick in sorted(arm.kicks, key=lambda k: k.t):
+                total += n * n * (kick.t - t_prev)
+                n, t_prev = n + kick.dn, kick.t
+            return total + n * n * (seq.horizon - t_prev)
+
+        counts = n_squared_integral(seq.arm_b) - n_squared_integral(seq.arm_a)
         assert st.kinetic_phase(seq) == pytest.approx(
             params_n2.recoil_frequency * float(counts), rel=1e-13)
 

@@ -39,6 +39,13 @@ class TestRoundTrip:
         assert "1/3" in text
         assert seqfile.load_sequence(path).T == Fraction(1, 3)
 
+    def test_smallest_double_time_round_trips(self, params, tmp_path):
+        # the longest exact decimal a double can need is within the bound
+        seq = st.build_mach_zehnder(params, 5e-324)
+        path = tmp_path / "seq.json"
+        seqfile.save_sequence(seq, path)
+        assert seqfile.load_sequence(path) == seq
+
     def test_numeric_time_tokens_parse_exactly(self, params, tmp_path):
         doc = seqfile.sequence_to_dict(st.build_mach_zehnder(params, "0.1"))
         doc["T"] = 0.1  # will be serialized as a JSON number

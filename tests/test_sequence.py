@@ -1,6 +1,7 @@
 """Sequence construction, catalog builders, closure and symmetry checks."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,8 @@ class TestPhysicalParams:
             st.PhysicalParams(m=-1.0, k=(0, 0, 1e7))
         with pytest.raises(SequenceError):
             st.PhysicalParams(m=1e-25, k=(0, 0, 0))
+        with pytest.raises(SequenceError):  # |k| overflows a double
+            st.PhysicalParams(m=1e-25, k=(0, 0, 1e300))
         with pytest.raises(SequenceError):
             st.PhysicalParams(m=1e-25, k=(0, 0, 1e7), n=0)
 
@@ -61,10 +64,37 @@ class TestPhysicalParams:
                                       st.ArmTimeline("b"),
                                       **{name: (0.0, math.nan, 0.0)})
 
+    def test_pickle_round_trip_drops_derived_state(self, params, T):
+        assert not params.k_hat.flags.writeable
+        back = pickle.loads(pickle.dumps(params))
+        assert not back.k_hat.flags.writeable
+        assert back == params and hash(back) == hash(params)
+        seq = st.build_cab(params, T, 4)
+        fresh = pickle.dumps(seq)
+        breakdown = st.total_phase(seq).to_kv_text()
+        assert pickle.dumps(seq) == fresh
+        back = pickle.loads(fresh)
+        assert back == seq and hash(back) == hash(seq)
+        assert st.total_phase(back).to_kv_text() == breakdown
+
+    @pytest.mark.parametrize("field", ["x0", "v0"])
+    def test_non_finite_arm_state_rejected(self, field):
+        with pytest.raises(SequenceError, match=field):
+            st.ArmTimeline("a", **{field: (0.0, math.inf, 0.0)})
+
+    def test_non_finite_phases_rejected(self):
+        with pytest.raises(SequenceError, match="phase"):
+            st.ImpulseKick(0, (0.0, 0.0, 1e-2), phi=math.nan)
+        with pytest.raises(SequenceError, match="phase"):
+            st.AccelSegment(0, 1, (0.0, 0.0, 1.0), phi_b=-math.inf)
+
     def test_as_time_exact_decimal(self):
         assert st.as_time("0.1") == Fraction(1, 10)
         assert st.as_time("3/8") == Fraction(3, 8)
         assert st.as_time(0.5) == Fraction(1, 2)
+        for text in ("1e-999999", "1e300"):  # digits, then magnitude
+            with pytest.raises(ValueError):
+                st.as_time(text)
 
     def test_catalog_kicks_carry_consistent_recoil_counts(self, params, T):
         # dn * (hbar |k| / m) along k_hat must equal the kick's dv projection
