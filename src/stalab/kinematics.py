@@ -17,10 +17,12 @@ sequence instance and a repeated query hashes nothing.
 Weighted integrals of the arm separation are evaluated per segment in
 closed form. Polynomial weights stay in rational arithmetic. Cos/sin
 weights go through one vectorised kernel, `PathDifference.trig_moments`,
-over a whole omega grid at once: each (omega, piece) pair uses the stable
-antiderivatives, or a Taylor series in omega over the exact power moments
-below z = |omega| * max|t| = 1/2 where the closed forms lose digits. The
-odd quadrature of an exactly (anti)symmetric separation is a literal zero.
+over a whole omega grid at once. It works in each piece's own coordinate
+u = t - m about the piece midpoint m, so its rounding does not grow with
+where t = 0 sits: three integrals over [-h, h] in x = omega * h (closed
+forms, or a short series below x = 1/2), then a rotation by e^{i omega m}.
+The odd quadrature of an exactly (anti)symmetric separation is a literal
+zero.
 """
 
 from __future__ import annotations
@@ -40,13 +42,19 @@ FVec = tuple[Fraction, Fraction, Fraction]
 
 _ZERO3 = (Fraction(0), Fraction(0), Fraction(0))
 
-# z = |omega| * max|t| below which trig moments use the series branch
-_SERIES_Z = 0.5
-# series terms; below the switch they fall at least as fast as (z^2/2)^m,
-# so 17 reach double precision with margin
-_SERIES_TERMS = 17
-# float power moments kept per piece: int t^p dt for p = 0 .. _NPOW - 1
-_NPOW = 2 * _SERIES_TERMS + 2
+# x = omega * h (a piece's half-width) below which the piece integrals
+# use the series; above it the closed forms lose at most about two digits
+_SERIES_X = 0.5
+# Taylor coefficients in -x^2 of f0, f1 / x and f2 (see _piece_integrals):
+# below the switch term k is at most x^(2k) / (2k)!, so eight terms reach
+# double precision
+_SERIES_TERMS = 8
+_F0 = tuple(1 / (math.factorial(2 * k) * (2 * k + 1))
+            for k in range(_SERIES_TERMS))
+_F1 = tuple(1 / (math.factorial(2 * k + 1) * (2 * k + 3))
+            for k in range(_SERIES_TERMS))
+_F2 = tuple(1 / (math.factorial(2 * k) * (2 * k + 3))
+            for k in range(_SERIES_TERMS))
 # (omega, piece) pairs per kernel pass: a block holds max(1, this // pieces)
 # omegas, which bounds the temporaries
 _TRIG_PAIRS = 4096
@@ -387,13 +395,15 @@ class PathDifference(PiecewiseTrajectory):
         """Cosine and sine quadratures (Ac, As) of dx(t) at every omega of a
         1-D array, each of shape (N, 3), in one vectorised pass.
 
-        A pair (omega, piece) with z = omega * max|t| >= 1/2 uses the
-        closed-form antiderivatives, a pair below it the Taylor series in
-        omega over the piece's exact power moments. Each (omega, axis)
-        sums its pieces with math.fsum (correctly rounded), so a row does
-        not depend on the other omegas of the grid. omega = 0 gives
-        moment_poly(0) and a zero sine quadrature; mirror parity +1 makes
-        the sine quadrature a literal zero and -1 the cosine quadrature.
+        Piece p, with midpoint m, half-width h and dx = d0 + d1 u + d2 u^2
+        in u = t - m, contributes e^{i omega m} (d0 C0 + d2 C2 + i d1 S1),
+        where C0, S1 and C2 integrate cos(omega u), u sin(omega u) and
+        u^2 cos(omega u) over [-h, h] (`_piece_integrals`). Each
+        (omega, axis) sums its pieces with math.fsum (correctly rounded),
+        and every other step is elementwise, so a row does not depend on
+        the other omegas of the grid. omega = 0 gives moment_poly(0) and a
+        zero sine quadrature; mirror parity +1 makes the sine quadrature a
+        literal zero and -1 the cosine quadrature.
         """
         w = np.atleast_1d(np.asarray(omegas, dtype=float))
         if w.ndim != 1:
@@ -424,45 +434,36 @@ class PathDifference(PiecewiseTrajectory):
 
     def _trig_block(self, w: np.ndarray, want_cos: bool, want_sin: bool):
         """Both quadratures on one block of omegas (None for a quadrature
-        not wanted): every (omega, piece) pair goes through exactly one
-        branch, so neither is evaluated where it could overflow."""
-        series = w[:, None] * self._tmax[None, :] < _SERIES_Z
-        parts = [np.zeros((w.size, len(self.pieces), 3)) if want else None
-                 for want in (want_cos, want_sin)]
-        for mask, branch in ((~series, self._closed_pairs),
-                             (series, self._series_pairs)):
-            r, p = np.nonzero(mask)
-            if r.size:
-                ints = branch(w, r, p, want_cos, want_sin)
-                coeffs = self._fpos[p]
-                for out, i in zip(parts, ints):
-                    if out is not None:
-                        out[r, p] = _combine(coeffs, i)
-        return [None if out is None else _fsum_pieces(out) for out in parts]
-
-    def _closed_pairs(self, w, r, p, want_cos: bool, want_sin: bool):
-        # sin and cos at every breakpoint, shared by both quadratures
-        wt = w[:, None] * self._ftimes[None, :]
-        sin_t, cos_t = np.sin(wt), np.cos(wt)
-        return _closed_integrals(w[r], self._ftimes[p], self._ftimes[p + 1],
-                                 sin_t[r, p], cos_t[r, p],
-                                 sin_t[r, p + 1], cos_t[r, p + 1],
-                                 want_cos, want_sin)
-
-    def _series_pairs(self, w, r, p, want_cos: bool, want_sin: bool):
-        return _series_integrals(w[r], self._pow[:, p], want_cos, want_sin)
+        not wanted)."""
+        mid, h, d = self._flocal
+        f0, f1, f2 = _piece_integrals(w[:, None] * h)
+        # the even part d0 C0 + d2 C2 and the odd part d1 S1, (N, pieces, 3)
+        even = (d[:, 0] * (2 * h * f0)[..., None]
+                + d[:, 2] * (2 * h ** 3 * f2)[..., None])
+        odd = d[:, 1] * (2 * h ** 2 * f1)[..., None]
+        phase = w[:, None] * mid
+        cos_m, sin_m = np.cos(phase)[..., None], np.sin(phase)[..., None]
+        return (_fsum_pieces(cos_m * even - sin_m * odd) if want_cos else None,
+                _fsum_pieces(sin_m * even + cos_m * odd) if want_sin else None)
 
     @cached_property
     def _tmax(self) -> np.ndarray:
-        """max(|t0|, |t1|) per piece, the series/closed-form switch scale."""
+        """max(|t0|, |t1|) per piece, the time scale of `scales`."""
         return np.maximum(np.abs(self._ftimes[:-1]), np.abs(self._ftimes[1:]))
 
     @cached_property
-    def _pow(self) -> np.ndarray:
-        """Float int t^p dt over each piece for p < _NPOW, (_NPOW, pieces):
-        each the correctly rounded value of the exact rational."""
-        return np.array([_float_power_moments(piece.t0, piece.t1, _NPOW)
-                         for piece in self.pieces]).T.copy()
+    def _flocal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each piece about its midpoint: midpoints m and half-widths h,
+        (pieces,), and the coefficients (dx, dx', dx''/2) at m,
+        (pieces, 3, 3); each computed exactly and rounded once."""
+        mid, half, coeffs = [], [], []
+        for piece in self.pieces:
+            m = (piece.t0 + piece.t1) / 2
+            mid.append(float(m))
+            half.append(float(piece.t1 - m))
+            coeffs.append([_float3(piece.pos_at(m)), _float3(piece.vel_at(m)),
+                           _float3(piece.pos[2])])
+        return np.array(mid), np.array(half), np.array(coeffs)
 
     def mirror_parity(self) -> int | None:
         """+1 if dx(t) == dx(-t), -1 if dx(t) == -dx(-t), else None (exact,
@@ -670,27 +671,6 @@ def first_time_moment(seq: InterferometerSequence) -> np.ndarray:
 # trig-weighted segment integrals, vectorised over (omega, piece) pairs
 # ----------------------------------------------------------------------
 
-def _float_power_moments(t0: Fraction, t1: Fraction,
-                         count: int) -> list[float]:
-    """float(int t^p dt over [t0, t1]) for p < count, each correctly rounded.
-
-    Integer arithmetic over the common denominator (d0 d1)^k gives the same
-    correctly rounded floats as converting each exact Fraction, without a
-    gcd per power.
-    """
-    n0, d0 = t0.numerator, t0.denominator
-    n1, d1 = t1.numerator, t1.denominator
-    step0, step1, step_d = n0 * d1, n1 * d0, d0 * d1
-    lo = hi = den = 1
-    out = []
-    for k in range(1, count + 1):
-        lo *= step0
-        hi *= step1
-        den *= step_d
-        out.append((hi - lo) / (k * den))
-    return out
-
-
 def _quad_roots(a2: float, a1: float, a0: float) -> list[float]:
     """Real roots of a2 t^2 + a1 t + a0, numerically stable."""
     if a2 == 0.0:
@@ -714,64 +694,40 @@ def _poly_defint(c, u: float, w: float) -> float:
     return F(w) - F(u)
 
 
-def _closed_integrals(w, a, b, sa, ca, sb, cb, want_cos: bool,
-                      want_sin: bool):
-    """Stable antiderivative evaluation of int t^j trig(w t) dt, j = 0,1,2,
-    per pair; (cos integrals, sin integrals), None where not wanted."""
-    iw = 1.0 / w
-    iw2 = iw * iw
-    iw3 = iw2 * iw
-    cos_ints = sin_ints = None
-    if want_cos:
-        cos_ints = ((sb - sa) * iw,
-                    (cb - ca) * iw2 + (b * sb - a * sa) * iw,
-                    (2.0 * (b * cb - a * ca)) * iw2
-                    + (b * b * iw - 2.0 * iw3) * sb
-                    - (a * a * iw - 2.0 * iw3) * sa)
-    if want_sin:
-        sin_ints = ((ca - cb) * iw,
-                    (sb - sa) * iw2 - (b * cb - a * ca) * iw,
-                    (2.0 * (b * sb - a * sa)) * iw2
-                    - (b * b * iw - 2.0 * iw3) * cb
-                    + (a * a * iw - 2.0 * iw3) * ca)
-    return cos_ints, sin_ints
+def _horner(y: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    """sum_k coeffs[k] y^k, elementwise."""
+    acc = np.full_like(y, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= y
+        acc += c
+    return acc
 
 
-def _series_integrals(w, pw, want_cos: bool, want_sin: bool):
-    """Series in omega for int t^j trig(w t) dt per pair, from the float
-    power moments pw (_NPOW, pairs) of each pair's piece:
+def _piece_integrals(x: np.ndarray):
+    """(f0, f1, f2) elementwise in x = omega * h >= 0, where
 
-    cos: sum_m (-w^2)^m / (2m)! * P(j + 2m)
-    sin: sum_m (-1)^m w^(2m+1) / (2m+1)! * P(j + 2m + 1)
+    f0 = int_0^1 cos(x v) dv = sin x / x,
+    f1 = int_0^1 v sin(x v) dv = (f0 - cos x) / x,
+    f2 = int_0^1 v^2 cos(x v) dv = f0 - 2 f1 / x,
 
-    Coefficients are running products and terms are added in order of m.
+    so that C0 = 2h f0, S1 = 2h^2 f1 and C2 = 2h^3 f2. The closed forms,
+    written in powers of 1/x, hold at x >= _SERIES_X and stay finite up to
+    the largest double; the Taylor series in x holds below it.
     """
-    m = np.arange(_SERIES_TERMS)[:, None]
-    out = []
-    for want, first, shift in ((want_cos, 1.0, 0), (want_sin, w, 1)):
-        if not want:
-            out.append(None)
-            continue
-        steps = np.empty((_SERIES_TERMS, w.size))
-        steps[0] = first
-        steps[1:] = -(w * w) / ((2 * m[:-1] + 1 + shift)
-                                * (2 * m[:-1] + 2 + shift))
-        coeff = np.cumprod(steps, axis=0)
-        totals = []
-        for j in range(3):
-            terms = coeff * pw[j + shift:j + shift + 2 * _SERIES_TERMS:2]
-            terms[0] += 0.0  # a running sum starts from +0.0
-            # accumulate, unlike reduce, adds strictly in order of m
-            totals.append(np.add.accumulate(terms, axis=0, out=terms)[-1])
-        out.append(tuple(totals))
-    return out
-
-
-def _combine(coeffs: np.ndarray, ints) -> np.ndarray:
-    """Per-pair vector integral c0 * I0 + c1 * I1 + c2 * I2, (pairs, 3)."""
-    i0, i1, i2 = ints
-    return (coeffs[:, 0] * i0[:, None] + coeffs[:, 1] * i1[:, None]
-            + coeffs[:, 2] * i2[:, None])
+    f0, f1, f2 = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    small = x < _SERIES_X
+    xs = x[small]
+    y = -xs * xs
+    f0[small] = _horner(y, _F0)
+    f1[small] = xs * _horner(y, _F1)
+    f2[small] = _horner(y, _F2)
+    xl = x[~small]
+    g0 = np.sin(xl) / xl
+    g1 = (g0 - np.cos(xl)) / xl
+    f0[~small] = g0
+    f1[~small] = g1
+    f2[~small] = g0 - 2 * g1 / xl
+    return f0, f1, f2
 
 
 def _fsum_pieces(parts: np.ndarray) -> np.ndarray:

@@ -160,6 +160,13 @@ class TestResponseCommand:
         assert err.startswith("error: ") and field in err
         assert "Warning" not in err
 
+    def test_omega_up_to_1e308_prints_finite_rows(self, capsys):
+        code, out, err = run(["response", "--preset", "mz",
+                              "--omega-min", "1", "--omega-max", "1e308",
+                              "--points", "3", "--scale", "log"], capsys)
+        assert code == 0 and err == ""
+        assert "nan" not in out and "inf" not in out
+
     def test_mz_envelope(self, capsys):
         code, out, _ = run(["response", "--preset", "mz", "--T", "0.1",
                             "--omega-min", "0", "--omega-max", "400",

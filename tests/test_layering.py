@@ -44,7 +44,7 @@ def violations(source: str) -> list[str]:
 
 
 def test_private_names_are_known():
-    assert {"_fpos", "_pow", "_fvel", "_ftimes"} <= PRIVATE
+    assert {"_fpos", "_flocal", "_fvel", "_ftimes"} <= PRIVATE
 
 
 def test_checker_flags_reach_ins():
