@@ -146,6 +146,22 @@ class TestTimeVaryingInertial:
         expected = params.m / params.hbar * math.fsum(parts)
         assert st.inertial_phase_timevarying(seq, wave) == expected
 
+    def test_polynomial_terms_match_the_action_oracle(self, params, T):
+        # powers 1 and 2 against the action integral, at the settings of
+        # the benchmark's Waveform check (16384 Simpson points per piece)
+        wave = st.Waveform(constant=(0.0, 0.0, 9.8),
+                           polys=(((0.0, 0.0, 7.0), 1),
+                                  ((0.0, 3.0, -40.0), 2)))
+        config = st.OracleConfig(abs_tol=1e-9 * params.hbar / params.m,
+                                 grid_points=16384)
+        for seq in (st.build_mach_zehnder(params, T),
+                    st.random_closed_sequence(np.random.default_rng(5),
+                                              params, T, collinear=False)):
+            bd = st.total_phase(seq, g_wave=wave)
+            analytic = math.fsum((bd.separation, bd.kinetic, bd.inertial))
+            assert analytic == pytest.approx(
+                st.action_phase(seq, wave, config), rel=1e-9, abs=1e-9)
+
     def test_non_finite_frequency_names_omega(self, params, T):
         wave = st.Waveform(sines=(((0, 0, 1.0), math.inf),))
         with pytest.raises(st.SequenceError, match="omega"):
