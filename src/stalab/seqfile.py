@@ -61,8 +61,8 @@ def _time_to_str(t: Fraction) -> str:
 
 
 class _Number(str):
-    """Text of a JSON number with a fraction or exponent: fields parse it
-    exactly (times, after `parse_time` bounds it) or as a float."""
+    """Text of a JSON number token: each field bounds and parses it, so an
+    oversized one is reported with the field's name."""
 
 
 def _parse_time(value: Any, where: str) -> Fraction:
@@ -102,8 +102,12 @@ def _parse_vec(value: Any, where: str) -> tuple[float, float, float]:
 
 
 def _parse_int(value: Any, where: str) -> int:
+    digits = value.lstrip("-") if isinstance(value, _Number) else ""
+    if digits.isdecimal() and len(digits) <= 100:
+        return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SequenceFileError(where, f"expected an integer, got {value!r}")
+        raise SequenceFileError(where, "expected an integer of at most 100 "
+                                f"digits, got {value!r:.80}")
     return value
 
 
@@ -218,7 +222,7 @@ def load_sequence(path) -> InterferometerSequence:
     """Read a sequence file; diagnostics name the offending field."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_float=_Number, parse_int=int)
+            doc = json.load(fh, parse_float=_Number, parse_int=_Number)
         except json.JSONDecodeError as exc:
             raise SequenceFileError("$", f"not valid JSON: {exc}")
     return sequence_from_dict(doc)

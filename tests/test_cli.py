@@ -88,6 +88,10 @@ class TestPhaseCommand:
         (("T",), "1e-999999", "T"),
         (("arm_b", "kicks", 0, "t"), '"1/1' + "0" * 1100 + '"',
          "arm_b.kicks[0].t"),
+        # integer tokens past Python's 4300-digit conversion limit
+        (("params", "n"), "1" * 5001, "params.n"),
+        (("arm_a", "x0", 2), "1" * 5001, "arm_a.x0[2]"),
+        (("T",), "1" * 5001, "T"),
     ])
     def test_malformed_value_exit_1_names_field_fast(self, where, token,
                                                      field, tmp_path, capsys):
